@@ -60,12 +60,6 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
         help="restrict to a strategy (repeatable)",
     )
     p.add_argument(
-        "--pvalue-method",
-        dest="pvalue_method",
-        choices=("exact", "poisson"),
-        help="co-occurrence tail computation",
-    )
-    p.add_argument(
         "--etld1",
         dest="reduce_to_etld1",
         action="store_const",

@@ -54,7 +54,6 @@ class PipelineConfig:
     cv_folds: int = 10
     cv_seed: int = 0
     reduce_to_etld1: bool = False
-    pvalue_method: str = "exact"
     weighted_louvain: bool = False
 
     @classmethod
@@ -271,27 +270,28 @@ def stage_projection(
     if _stage_cached(stage_dir, stage_hash, ["validated_edges.csv"]):
         log.info("projection: reusing cached artifacts")
         return load_validated(stage_dir, graph)
-    network = projection.validate_projection(
-        graph, model, alpha=config.alpha, method=config.pvalue_method
-    )
+    network = projection.validate_projection(graph, model, alpha=config.alpha)
     write_csv(
         stage_dir / "validated_edges.csv",
         ["url_a", "url_b", "pvalue"],
         [(a, b, p) for a, b, p in network.edges],
     )
     write_json(
-        stage_dir / "meta.json",
-        {
-            "config_hash": stage_hash,
-            "alpha": network.alpha,
-            "n_hypotheses": network.n_hypotheses,
-            "bh_threshold": network.bh_threshold,
-            "n_tested": network.n_tested,
-            "n_edges": network.n_edges,
-            "n_validated_urls": len(network.validated_urls()),
-        },
+        stage_dir / "meta.json", {"config_hash": stage_hash, **_projection_summary(network)}
     )
     return network
+
+
+def _projection_summary(network: projection.ValidatedNetwork) -> dict:
+    """The projection's figures, as its meta.json and report.json both carry them."""
+    return {
+        "alpha": network.alpha,
+        "n_hypotheses": network.n_hypotheses,
+        "n_tested": network.n_tested,
+        "n_edges": network.n_edges,
+        "bh_threshold": network.bh_threshold,
+        "n_validated_urls": len(network.validated_urls()),
+    }
 
 
 def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph) -> projection.ValidatedNetwork:
@@ -763,7 +763,7 @@ def stage_hashes(config: PipelineConfig) -> dict[str, str]:
     )
     h["projection"] = _hash_obj(
         {"stage": "projection", "parent": h["bicm"], "alpha": config.alpha,
-         "method": config.pvalue_method}
+         "tails": projection.TAILS_ALGORITHM}
     )
     h["nec"] = _hash_obj(
         {"stage": "nec", "parent": h["projection"], "seed": config.louvain_seed,
@@ -861,14 +861,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "n_links": graph.n_links,
             "n_forced_links": len(model.forced_links),
         },
-        "projection": {
-            "alpha": network.alpha,
-            "n_hypotheses": network.n_hypotheses,
-            "n_tested": network.n_tested,
-            "n_edges": network.n_edges,
-            "bh_threshold": network.bh_threshold,
-            "n_validated_urls": len(network.validated_urls()),
-        },
+        "projection": _projection_summary(network),
         "nec": {
             "modularity": partition.modularity,
             "n_communities": len(partition.community_ids()),

@@ -2,20 +2,33 @@
 
 For every URL pair sharing at least one user, the observed co-occurrence
 count is compared to its null distribution: a sum of independent Bernoulli
-variables with success probabilities p_{i,a} * p_{i,b} (one per user). The
-resulting p-values go through a Benjamini-Hochberg scan sized to all possible
-URL pairs; surviving pairs form the validated monopartite URL network.
+variables with success probabilities p_{i,a} * p_{i,b} (one per user).
+
+Under the null a link probability depends only on the two fitnesses, so
+users with equal fitness form one class, and URLs another (a node with a
+forced link is a class of its own). A pair's count
+distribution then depends only on its unordered URL-class pair: it is the
+convolution of one Binomial(n_c, q_c) per user class c. One pmf per class
+pair serves every URL pair in it, and the tail at the observed count is
+summed directly, so far-tail p-values keep their relative precision. The
+p-values go through a Benjamini-Hochberg scan sized to all possible URL
+pairs; surviving pairs form the validated monopartite URL network.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy import stats
+from scipy import sparse
 
-from .bicm import BicmModel, BipartiteGraph, probability_matrix
+from .bicm import BicmModel, BipartiteGraph
+
+#: a truncated pmf may drop at most this fraction of the smallest tail read from it
+TRUNCATION = 1e-16
+#: goes into the projection stage hash; change it when the p-values change
+TAILS_ALGORITHM = "degree-class-1"
 
 
 @dataclass(frozen=True)
@@ -43,11 +56,7 @@ class ValidatedNetwork:
     n_tested: int = 0
 
     def validated_urls(self) -> set[str]:
-        nodes: set[str] = set()
-        for a, b, _ in self.edges:
-            nodes.add(a)
-            nodes.add(b)
-        return nodes
+        return {url for a, b, _ in self.edges for url in (a, b)}
 
     @property
     def n_edges(self) -> int:
@@ -57,129 +66,144 @@ class ValidatedNetwork:
 def cooccurrences(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
     """Count common users for every URL column pair, sparse on pairs >= 1.
 
-    Keys are (column_a, column_b) with a < b.
+    Keys are (column_a, column_b) with a < b, in ascending order.
     """
     adj = graph.biadjacency.astype(np.int32)
-    overlap = (adj.T @ adj).tocoo()
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, v in zip(overlap.row, overlap.col, overlap.data):
-        if a < b and v > 0:
-            counts[(int(a), int(b))] = int(v)
-    return counts
+    overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
+    overlap.sort_indices()
+    pairs = overlap.tocoo()
+    return dict(zip(zip(pairs.row.tolist(), pairs.col.tolist()), pairs.data.tolist()))
+
+
+def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:
+    """Binomial(n, q[r]) pmf over 0..width-1 per row r, from summed log ratios.
+
+    pmf[j+1] / pmf[j] = (n - j) / (j + 1) * q / (1 - q); in log space no entry
+    is lost where (1 - q)^n underflows.
+    """
+    j = np.arange(width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.log(q) - np.log1p(-q)
+        steps = np.log(n - j[:-1]) - np.log(j[1:]) + odds[:, None]
+        logs = np.cumsum(np.concatenate([(n * np.log1p(-q))[:, None], steps], axis=1), axis=1)
+    return np.where(q[:, None] == 1.0, (j == n).astype(float), np.exp(logs))
+
+
+def _class_pmfs(q: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
+    """Pmf over 0..length-1 of sum_c Binomial(sizes[c], q[r, c]), per row r of q.
+
+    Entries below ``length`` need only entries below it: the truncation is exact.
+    """
+    pmf = np.zeros((q.shape[0], length))
+    pmf[:, 0] = 1.0
+    for n, qc in zip(sizes.tolist(), q.T):
+        if qc.any():
+            factor = _binomial_pmfs(n, qc, min(n + 1, length))
+            out = pmf * factor[:, :1]
+            for j in range(1, factor.shape[1]):
+                out[:, j:] += pmf[:, : length - j] * factor[:, j : j + 1]
+            pmf = out
+    return pmf
+
+
+def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """P(V_r >= k) per test, where V_r = sum_c Binomial(sizes[c], q[r, c]).
+
+    Test t reads row ``rows[t]`` of ``q`` at count ``ks[t]``. Each row's pmf
+    is built once, with rows of similar length batched, and its upper tail is
+    summed directly. The pmf is log-concave, so once r = pmf[L-1] / pmf[L-2]
+    is below 1 the mass past L is at most pmf[L-1] * r / (1 - r); L doubles
+    until that bound is below TRUNCATION times the row's smallest tail.
+    """
+    support = (q > 0) @ sizes
+    kmax = np.zeros(q.shape[0], dtype=np.int64)
+    np.maximum.at(kmax, rows, ks)
+    # first guess: past the largest count and 9 sd above the mean
+    guess = np.maximum(kmax, q @ sizes + 9.0 * np.sqrt((q * (1.0 - q)) @ sizes)) + 40
+    need = np.minimum(support + 1, np.ceil(guess).astype(np.int64))
+    tails = np.zeros(ks.size)
+    pending = np.unique(rows)
+    while pending.size:
+        bits = np.ceil(np.log2(need[pending])).astype(np.int64)
+        batch, length = pending[bits == bits.min()], 1 << int(bits.min())
+        pmf = _class_pmfs(q[batch], sizes, length)
+        above = np.cumsum(np.pad(pmf, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
+        last = pmf[:, -1]
+        smallest = above[np.arange(batch.size), np.minimum(kmax[batch], length)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = last / pmf[:, max(length - 2, 0)]
+            done = (length > support[batch]) | (last == 0.0) | (
+                (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
+        hit = np.isin(rows, batch[done])
+        tails[hit] = above[np.searchsorted(batch, rows[hit]), np.minimum(ks[hit], length)]
+        need[batch] = np.minimum(support[batch] + 1, 2 * length)
+        pending = np.setdiff1d(pending, batch[done])
+    return np.where(ks == 0, 1.0, np.minimum(tails, 1.0))
 
 
 def poisson_binomial_tail(probs, k: int) -> float:
-    """P(sum of independent Bernoulli(probs) >= k), by exact convolution.
+    """P(sum of independent Bernoulli(probs) >= k), summed directly.
 
-    Only the probability mass below k is tracked (O(n*k) work); the tail is
-    one minus its compensated sum. k = 0 returns 1 exactly.
+    Equal probabilities pool into one binomial of the pair-test kernel.
+    k = 0 returns 1 exactly.
     """
     p = np.asarray(probs, dtype=float)
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    n = p.size
-    if not 0 <= k <= n + 1:
-        raise ValueError(f"k={k} outside [0, {n + 1}]")
-    if k == 0:
-        return 1.0
-    if k == n + 1:
-        return 0.0
-    pmf = np.zeros(k)
-    pmf[0] = 1.0
-    for q in p:
-        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
-        pmf[0] *= 1.0 - q
-    below = math.fsum(pmf)
-    return max(0.0, 1.0 - below)
+    if not 0 <= k <= p.size + 1:
+        raise ValueError(f"k={k} outside [0, {p.size + 1}]")
+    values, sizes = np.unique(p, return_counts=True)
+    return float(class_tails(values[None, :], sizes, np.zeros(1, dtype=np.int64), np.array([k]))[0])
 
 
-def batch_tails(prob_matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Vectorized tails for many pair tests sharing the same user axis.
+def _classes(fitness: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Class id per node: equal fitness, except that nodes in ``own`` stand alone."""
+    ids = np.unique(fitness, return_inverse=True)[1]
+    own = np.unique(own)
+    ids[own] = ids.size + np.arange(own.size)
+    return np.unique(ids, return_inverse=True)[1]
 
-    ``prob_matrix`` holds one row of per-user success probabilities per test,
-    ``ks`` the observed count per test. Same convolution as
-    :func:`poisson_binomial_tail`, batched over rows with a common truncation.
+
+def _class_probabilities(model: BicmModel):
+    """(user-class x URL-class link probabilities, users per class, URL class ids).
+
+    Entries equal ``bicm.probability_matrix``'s: forced links are 1, the other
+    links of a pinned node 0.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    n_tests, n_users = prob_matrix.shape
-    out = np.ones(n_tests)
-    todo = ks > 0
-    if not todo.any():
-        return out
-    kmax = int(ks[todo].max())
-    pmf = np.zeros((n_tests, kmax))
-    pmf[:, 0] = 1.0
-    for j in range(n_users):
-        q = prob_matrix[:, j][:, None]
-        pmf[:, 1:] = pmf[:, 1:] * (1.0 - q) + pmf[:, :-1] * q
-        pmf[:, 0:1] *= 1.0 - q
-    for i in np.where(todo)[0]:
-        below = math.fsum(pmf[i, : ks[i]])
-        out[i] = max(0.0, 1.0 - below)
-    return out
+    forced = np.array(sorted(model.forced_links), dtype=np.int64).reshape(-1, 2)
+    user_cls = _classes(model.x, forced[:, 0])
+    url_cls = _classes(model.y, forced[:, 1])
+    x = np.nan_to_num(model.x[np.unique(user_cls, return_index=True)[1]], posinf=0.0)
+    y = np.nan_to_num(model.y[np.unique(url_cls, return_index=True)[1]], posinf=0.0)
+    t = np.outer(x, y)
+    p = t / (1.0 + t)
+    p[user_cls[forced[:, 0]], url_cls[forced[:, 1]]] = 1.0
+    return p, np.bincount(user_cls), url_cls
 
 
-def poisson_tail(rate: float, k: int) -> float:
-    """Poisson approximation to the co-occurrence tail (opt-in fast path)."""
-    if k == 0:
-        return 1.0
-    return float(stats.poisson.sf(k - 1, rate))
-
-
-def pair_pvalue(
-    model: BicmModel,
-    pair: tuple[int, int],
-    observed: int,
-    method: str = "exact",
-) -> PairTest:
+def pair_pvalue(model: BicmModel, pair: tuple[int, int], observed: int) -> PairTest:
     """Null tail probability of the observed co-occurrence for one URL pair.
 
     Under the null the two links of user i occur independently, so the
     per-user success probability is p_{i,a} * p_{i,b}.
     """
     a, b = pair
-    p = probability_matrix(model)
-    q = p[:, a] * p[:, b]
-    if method == "exact":
-        pval = poisson_binomial_tail(q, observed)
-    elif method == "poisson":
-        pval = poisson_tail(float(q.sum()), observed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return PairTest(url_a=a, url_b=b, observed=observed, pvalue=pval)
+    p, sizes, url_cls = _class_probabilities(model)
+    q = np.repeat(p[:, url_cls[a]] * p[:, url_cls[b]], sizes)
+    return PairTest(url_a=a, url_b=b, observed=observed, pvalue=poisson_binomial_tail(q, observed))
 
 
-def pair_pvalues(
-    graph: BipartiteGraph,
-    model: BicmModel,
-    method: str = "exact",
-    batch_size: int = 2048,
-) -> list[PairTest]:
-    """Tests for every URL pair with at least one observed co-occurrence."""
+def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> list[PairTest]:
+    """Tests for every co-occurring URL pair; one pmf serves each URL-class pair."""
     counts = cooccurrences(graph)
-    if not counts:
-        return []
-    pairs = sorted(counts)
-    observed = np.array([counts[p] for p in pairs], dtype=np.int64)
-    p = probability_matrix(model)
-    tests: list[PairTest] = []
-    if method == "poisson":
-        for (a, b), obs in zip(pairs, observed):
-            rate = float((p[:, a] * p[:, b]).sum())
-            tests.append(PairTest(a, b, int(obs), poisson_tail(rate, int(obs))))
-        return tests
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        ks = observed[start : start + batch_size]
-        cols_a = np.array([a for a, _ in chunk])
-        cols_b = np.array([b for _, b in chunk])
-        q = p[:, cols_a].T * p[:, cols_b].T
-        tails = batch_tails(q, ks)
-        tests.extend(
-            PairTest(int(a), int(b), int(k), float(t))
-            for (a, b), k, t in zip(chunk, ks, tails)
-        )
-    return tests
+    pairs = np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=2 * len(counts))
+    observed = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    p, sizes, url_cls = _class_probabilities(model)
+    ends = np.sort(url_cls[pairs.reshape(-1, 2)], axis=1)
+    n_cls = p.shape[1]
+    keys, rows = np.unique(ends[:, 0] * n_cls + ends[:, 1], return_inverse=True)
+    tails = class_tails((p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, observed)
+    return [PairTest(a, b, k, t) for (a, b), k, t in zip(counts, observed.tolist(), tails.tolist())]
 
 
 def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, float]:
@@ -203,10 +227,7 @@ def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, 
 
 
 def bh_validate(
-    tests: list[PairTest],
-    alpha: float,
-    n_hypotheses: int,
-    graph: BipartiteGraph,
+    tests: list[PairTest], alpha: float, n_hypotheses: int, graph: BipartiteGraph
 ) -> ValidatedNetwork:
     """Benjamini-Hochberg control over all possible URL pairs.
 
@@ -214,17 +235,12 @@ def bh_validate(
     edges (ties at the boundary included).
     """
     pvals = np.array([t.pvalue for t in tests], dtype=float)
-    rank, threshold = bh_scan(pvals, alpha, n_hypotheses) if tests else (0, 0.0)
-    if not tests:
-        if not 0 < alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-    edges = []
-    if rank > 0:
-        for t in sorted(tests, key=lambda t: (t.url_a, t.url_b)):
-            if t.pvalue <= threshold:
-                edges.append(
-                    (graph.url_ids[t.url_a], graph.url_ids[t.url_b], t.pvalue)
-                )
+    rank, threshold = bh_scan(pvals, alpha, n_hypotheses)
+    edges = [
+        (graph.url_ids[t.url_a], graph.url_ids[t.url_b], t.pvalue)
+        for t in sorted(tests, key=lambda t: (t.url_a, t.url_b))
+        if rank and t.pvalue <= threshold
+    ]
     return ValidatedNetwork(
         urls=graph.url_ids,
         edges=edges,
@@ -236,12 +252,8 @@ def bh_validate(
 
 
 def validate_projection(
-    graph: BipartiteGraph,
-    model: BicmModel,
-    alpha: float = 0.05,
-    method: str = "exact",
+    graph: BipartiteGraph, model: BicmModel, alpha: float = 0.05
 ) -> ValidatedNetwork:
     """Full projection: count, test, correct. M = C(n_urls, 2)."""
     n_hyp = graph.n_urls * (graph.n_urls - 1) // 2
-    tests = pair_pvalues(graph, model, method=method)
-    return bh_validate(tests, alpha, n_hyp, graph)
+    return bh_validate(pair_pvalues(graph, model), alpha, n_hyp, graph)

@@ -119,6 +119,30 @@ class TestDeterminism:
         assert (out / "bicm" / "fitness.csv").stat().st_mtime_ns == bicm_stamp
         assert (out / "projection" / "validated_edges.csv").stat().st_mtime_ns != proj_stamp
 
+    def test_projection_from_per_user_tails_recomputes(self, inputs, tmp_path_factory, caplog):
+        out = tmp_path_factory.mktemp("tails")
+        config = make_config(inputs, out, theta_max=2)
+        run_pipeline(config)
+        hashes = pipeline.stage_hashes(config)
+        # the projection hash a run directory got before the tails were tagged
+        per_user_hash = pipeline._hash_obj(
+            {"stage": "projection", "parent": hashes["bicm"], "alpha": config.alpha,
+             "method": "exact"}
+        )
+        assert per_user_hash != hashes["projection"]
+        meta_path = out / "projection" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config_hash"] = per_user_hash
+        meta_path.write_text(json.dumps(meta))
+        stamp = (out / "projection" / "validated_edges.csv").stat().st_mtime_ns
+        import logging
+
+        with caplog.at_level(logging.INFO):
+            run_pipeline(config)
+        assert not any("projection: reusing cached" in m for m in caplog.messages)
+        assert (out / "projection" / "validated_edges.csv").stat().st_mtime_ns != stamp
+        assert json.loads(meta_path.read_text())["config_hash"] == hashes["projection"]
+
 
 class TestModelPersistence:
     def test_round_trip_preserves_forced_links_and_fitness(self, tmp_path):

@@ -78,15 +78,26 @@ class TestPoissonBinomialTail:
         tails = [projection.poisson_binomial_tail(probs, k) for k in range(17)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
-    def test_batch_agrees_with_scalar(self):
+    def test_far_tail_keeps_relative_precision(self):
+        # tail near 1e-20: one minus the mass below it would round to 0
+        probs = np.linspace(0.03, 0.06, 15)
+        exact = projection.poisson_binomial_tail(probs, 15)
+        oracle = tail_by_enumeration(probs, 15)
+        assert 1e-22 < oracle < 1e-19
+        assert exact == pytest.approx(oracle, rel=1e-9)
+
+    def test_class_tails_match_expanded_rows(self):
         rng = np.random.default_rng(8)
-        mat = rng.random((30, 40)) * 0.3
-        ks = rng.integers(0, 8, size=30)
-        batched = projection.batch_tails(mat, ks)
-        for row, k, got in zip(mat, ks, batched):
-            assert got == pytest.approx(
-                projection.poisson_binomial_tail(row, int(k)), abs=1e-12
-            )
+        q = rng.random((6, 4)) * 0.5
+        q[2, 1] = 0.0
+        q[4, 3] = 1.0
+        sizes = np.array([1, 3, 2, 4])
+        rows = np.repeat(np.arange(6), 3)
+        ks = rng.integers(0, 12, size=rows.size)
+        got = projection.class_tails(q, sizes, rows, ks)
+        for r, k, t in zip(rows, ks, got):
+            expanded = np.repeat(q[r], sizes)
+            assert t == pytest.approx(tail_by_enumeration(expanded, k), abs=1e-12)
 
 
 class TestCooccurrences:
@@ -115,7 +126,9 @@ class TestCooccurrences:
                     c = int(np.sum(dense[:, a] & dense[:, b]))
                     if c:
                         expected[(a, b)] = c
-            assert projection.cooccurrences(g) == expected
+            got = projection.cooccurrences(g)
+            assert got == expected
+            assert list(got) == sorted(expected)
 
 
 class TestPairPvalue:
@@ -151,21 +164,93 @@ class TestPairPvalue:
         se = np.sqrt(exact * (1 - exact) / n_samples)
         assert abs(exact - hits) <= 3 * se + 1e-12
 
-    def test_poisson_method_close_for_small_probs(self):
-        rng = np.random.default_rng(5)
-        adj = rng.random((60, 8)) < 0.2
-        links = [(f"u{i:02d}", f"a{j}") for i, j in zip(*np.nonzero(adj))]
-        g = bicm.BipartiteGraph.from_links(links)
-        model = bicm.solve(g)
-        exact = projection.pair_pvalue(model, (0, 1), 2, method="exact").pvalue
-        approx = projection.pair_pvalue(model, (0, 1), 2, method="poisson").pvalue
-        assert approx == pytest.approx(exact, rel=0.25)
+    def test_far_tail_pair_against_enumeration(self):
+        # 15 users with link probabilities 0.17-0.23: co-share chances 0.03-0.05
+        n = 15
+        model = bicm.BicmModel(
+            user_ids=tuple(f"u{i}" for i in range(n)), url_ids=("a", "b"),
+            user_degrees=np.ones(n, dtype=np.int64),
+            url_degrees=np.full(2, 2, dtype=np.int64),
+            x=np.linspace(0.2, 0.3, n), y=np.ones(2), forced_links=frozenset(),
+            residual=0.0, iterations=0, tol=1e-8,
+        )
+        q = bicm.probability_matrix(model)[:, 0] ** 2
+        oracle = tail_by_enumeration(q, 14)
+        assert 1e-21 < oracle < 1e-17
+        got = projection.pair_pvalue(model, (0, 1), 14).pvalue
+        assert got == pytest.approx(oracle, rel=1e-9)
 
-    def test_unknown_method(self):
-        g = bicm.BipartiteGraph.from_links([("u1", "a1"), ("u2", "a2")])
+
+def expanded_tails_agree(graph, model):
+    """Every pair's class-reduced tail equals the per-user tail of its pair."""
+    p = bicm.probability_matrix(model)
+    tests = projection.pair_pvalues(graph, model)
+    assert [(t.url_a, t.url_b) for t in tests] == sorted(projection.cooccurrences(graph))
+    for t in tests:
+        q = p[:, t.url_a] * p[:, t.url_b]
+        assert t.pvalue == pytest.approx(
+            projection.poisson_binomial_tail(q, t.observed), abs=1e-12
+        )
+        if q.size <= 10:
+            assert t.pvalue == pytest.approx(tail_by_enumeration(q, t.observed), abs=1e-12)
+        single = projection.pair_pvalue(model, (t.url_a, t.url_b), t.observed)
+        assert single.pvalue == pytest.approx(t.pvalue, rel=1e-12)
+
+
+def graph_of(adj):
+    links = [(f"u{i:02d}", f"a{j:02d}") for i, j in zip(*np.nonzero(adj))]
+    return bicm.BipartiteGraph.from_links(links)
+
+
+class TestClassReduction:
+    def test_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            g = graph_of(rng.random((40, 15)) < 0.3)
+            expanded_tails_agree(g, bicm.solve(g))
+
+    def test_pinned_user_and_url(self):
+        rng = np.random.default_rng(42)
+        adj = rng.random((12, 8)) < 0.3
+        adj[0, :] = True          # a full-degree user: pinned, fitness inf
+        adj[:, 3] = True          # a URL every user shared: pinned
+        g = graph_of(adj)
         model = bicm.solve(g)
-        with pytest.raises(ValueError):
-            projection.pair_pvalue(model, (0, 1), 1, method="magic")
+        assert np.isinf(model.x).any() and np.isinf(model.y).any()
+        assert model.forced_links
+        expanded_tails_agree(g, model)
+
+    def test_exhausted_nodes_carry_zero_fitness(self):
+        # u0 shares every URL; a2 is only shared by u0, so peeling leaves it at 0
+        g = bicm.BipartiteGraph.from_links(
+            [("u0", "a0"), ("u0", "a1"), ("u0", "a2"), ("u1", "a0"),
+             ("u2", "a1"), ("u3", "a0"), ("u3", "a1")]
+        )
+        model = bicm.solve(g)
+        assert (model.y == 0.0).any()
+        expanded_tails_agree(g, model)
+
+    @given(
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**54),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_small_biadjacencies(self, n, m, seed, full_row, full_col):
+        rng = np.random.default_rng(seed)
+        adj = rng.random((n, m)) < 0.45
+        adj[0, :] |= full_row
+        adj[:, 0] |= full_col
+        if not adj.any():
+            return
+        g = graph_of(adj)
+        try:
+            model = bicm.solve(g)
+        except bicm.ConvergenceError:
+            return
+        expanded_tails_agree(g, model)
 
 
 def bh_oracle(pvalues, alpha, m):
