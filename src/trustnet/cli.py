@@ -12,7 +12,6 @@ import argparse
 import logging
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from . import pipeline
 from .pipeline import PipelineConfig, StageError
@@ -29,14 +28,15 @@ EXIT_CODES = {
     "figures": 17,
 }
 
-# stages each subcommand executes (cached upstream stages are reused)
+# the last stage each subcommand runs; the stages it reads run first, or
+# are reused from the run directory
 STAGE_COMMANDS = {
-    "ingest": ("ingest",),
-    "solve": ("ingest", "bicm"),
-    "validate": ("ingest", "bicm", "projection"),
-    "communities": ("ingest", "bicm", "projection", "nec"),
-    "voters": ("ingest", "bicm", "projection", "voters"),
-    "classify": ("ingest", "bicm", "projection", "voters", "classify"),
+    "ingest": "ingest",
+    "solve": "bicm",
+    "validate": "projection",
+    "communities": "nec",
+    "voters": "voters",
+    "classify": "classify",
 }
 
 
@@ -76,16 +76,8 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {}
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if "strategies" in overrides:
-        overrides["strategies"] = tuple(overrides["strategies"])
-    if args.config:
-        return PipelineConfig.from_file(args.config, **overrides)
-    return PipelineConfig(**overrides)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    return PipelineConfig.from_file(args.config, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,47 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stages(config: PipelineConfig, upto: tuple[str, ...]) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stage = "ingest"
-    try:
-        hashes = pipeline.stage_hashes(config)
-        corpus, kb, _ = pipeline.stage_ingest(config, out, hashes["ingest"])
-        if "bicm" not in upto:
-            return 0
-        stage = "bicm"
-        graph, model = pipeline.stage_bicm(config, corpus, out, hashes["bicm"])
-        if "projection" not in upto:
-            return 0
-        stage = "projection"
-        network = pipeline.stage_projection(
-            config, graph, model, out, hashes["projection"]
-        )
-        if "nec" in upto:
-            stage = "nec"
-            pipeline.stage_nec(config, network, corpus, kb, out, hashes["nec"])
-        if "voters" not in upto:
-            return 0
-        stage = "voters"
-        profiles = pipeline.stage_voters(
-            config, corpus, network, kb, out, hashes["voters"]
-        )
-        if "classify" not in upto:
-            return 0
-        stage = "classify"
-        pipeline.stage_classify(
-            config, corpus, network, kb, profiles, out, hashes["classify"]
-        )
-        return 0
-    except StageError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_CODES.get(err.stage, 1)
-    except Exception as exc:
-        print(f"stage {stage} failed: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(stage, 1)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -194,26 +145,29 @@ def main(argv: list[str] | None = None) -> int:
             print(f"stage synth failed: {exc}", file=sys.stderr)
             return EXIT_CODES["synth"]
 
-    config = _build_config(args)
+    try:
+        config = _build_config(args)
+    except (OSError, ValueError) as exc:  # unreadable or invalid --config file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not config.posts or not config.knowledge_base:
         print("error: --posts and --knowledge-base are required", file=sys.stderr)
         return 1
 
-    if args.command == "run":
-        try:
+    try:
+        if args.command == "run":
             pipeline.run_pipeline(config)
-            return 0
-        except StageError as err:
-            print(str(err), file=sys.stderr)
-            return EXIT_CODES.get(err.stage, 1)
-    if args.command == "figures":
-        try:
+        elif args.command == "figures":
             pipeline.emit_figures(config)
-            return 0
-        except Exception as exc:
-            print(f"stage figures failed: {exc}", file=sys.stderr)
-            return EXIT_CODES["figures"]
-    return _run_stages(config, STAGE_COMMANDS[args.command])
+        else:
+            pipeline.run_stages(config, STAGE_COMMANDS[args.command])
+    except StageError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_CODES.get(err.stage, 1)
+    except ValueError as exc:  # emit_figures refuses missing or stale stages
+        print(f"stage figures failed: {exc}", file=sys.stderr)
+        return EXIT_CODES["figures"]
+    return 0
 
 
 if __name__ == "__main__":

@@ -112,9 +112,6 @@ class Corpus:
             by_user.setdefault(user, set()).add(url)
         return by_user
 
-    def publisher_labels(self, kb: KnowledgeBase) -> dict[str, Label]:
-        return {p: kb.label(p) for p in self.publishers}
-
 
 def extract_domain(url: str, reduce_to_etld1: bool = False) -> str | None:
     """Publisher domain of an absolute URL, or None if the URL has no host.

@@ -1,10 +1,20 @@
-"""End-to-end orchestration: stages, persistence, caching, figure tables.
+"""End-to-end orchestration: the stage table, its runner, persistence, figures.
 
-Every stage writes its outputs under one run directory together with a
-meta.json carrying the hash of the configuration slice that produced it.
-Reruns with an unchanged slice reuse the persisted artifacts. All outputs
-are plain CSV/JSON written deterministically: identical inputs, config and
-seeds yield byte-identical files.
+``STAGES`` declares the method's chain once: each entry names a stage, the
+stages it reads and the artifacts a rerun needs in order to reuse it. One
+runner walks it for every entry point: ``run_pipeline`` runs every stage,
+``run_stages`` one target stage and the stages it reads (the CLI's stage
+subcommands), and ``emit_figures`` checks the figure inputs with the same
+reuse test, then runs only the figures stage. The runner owns the reuse test
+(meta.json holds the hash of the stage's configuration slice, and the
+artifacts exist), deletes meta.json before a recompute and writes it last, so
+a crash leaves nothing reusable, and wraps any failure in ``StageError``.
+Each ``stage_<name>(config, upstream, stage_dir, cached) -> (value, meta)``
+keeps only its compute, write and load body. The runner looks it up by name
+at call time, so a wrapper set on the module attribute sees every call.
+
+All outputs are plain CSV/JSON written deterministically: identical inputs,
+config and seeds yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+import os
+import time
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +69,20 @@ class PipelineConfig:
     weighted_louvain: bool = False
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
+        """Config from a JSON file (defaults if ``path`` is None); non-None overrides win."""
+        data = {}
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ValueError(f"{path}: not a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         if "strategies" in data:
             data["strategies"] = tuple(data["strategies"])
@@ -107,10 +130,13 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
+    """Write through a temporary file, so ``path`` is never left half-written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def _read_meta(stage_dir: Path) -> dict | None:
@@ -121,49 +147,27 @@ def _read_meta(stage_dir: Path) -> dict | None:
         return json.load(fh)
 
 
-def _stage_cached(stage_dir: Path, stage_hash: str, files: list[str]) -> bool:
-    meta = _read_meta(stage_dir)
-    if meta is None or meta.get("config_hash") != stage_hash:
-        return False
-    return all((stage_dir / f).exists() for f in files)
-
-
 # ---------------------------------------------------------------------------
 # ingest stage
 
-def stage_ingest(config: PipelineConfig, out: Path, stage_hash: str) -> tuple[Corpus, KnowledgeBase, dict]:
-    stage_dir = out / "ingest"
+def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     kb = load_knowledge_base(config.knowledge_base)
-    if _stage_cached(stage_dir, stage_hash, ["interactions.csv", "share_events.csv"]):
-        log.info("ingest: reusing cached artifacts")
-        return load_corpus(stage_dir), kb, _read_meta(stage_dir)
+    if cached is not None:
+        return (load_corpus(stage_dir), kb), cached
     posts, malformed = load_posts(config.posts)
     corpus = build_corpus(posts, reduce_to_etld1=config.reduce_to_etld1)
     if not corpus.interactions:
         raise ValueError("corpus is empty after ingest")
-    write_csv(
-        stage_dir / "interactions.csv",
-        ["user_id", "url", "publisher"],
-        sorted(corpus.interactions),
-    )
-    write_csv(
-        stage_dir / "share_events.csv",
-        ["user_id", "url", "post_id"],
-        sorted(corpus.share_events),
-    )
-    write_csv(
-        stage_dir / "publishers.csv",
-        ["domain", "score", "label"],
-        [
-            (p, kb.score(p), kb.label(p))
-            for p in sorted(corpus.publishers)
-        ],
-    )
+    write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
+              sorted(corpus.interactions))
+    write_csv(stage_dir / "share_events.csv", ["user_id", "url", "post_id"],
+              sorted(corpus.share_events))
+    write_csv(stage_dir / "publishers.csv", ["domain", "score", "label"],
+              [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
     label_counts = {level.value: 0 for level in Label}
     for p in corpus.publishers:
         label_counts[kb.label(p).value] += 1
-    meta = {
-        "config_hash": stage_hash,
+    return (corpus, kb), {
         "n_posts": len(posts),
         "n_malformed": malformed,
         "n_skipped_urls": corpus.skipped_urls,
@@ -174,8 +178,6 @@ def stage_ingest(config: PipelineConfig, out: Path, stage_hash: str) -> tuple[Co
         "n_share_events": len(corpus.share_events),
         "publisher_labels": label_counts,
     }
-    write_json(stage_dir / "meta.json", meta)
-    return corpus, kb, meta
 
 
 def load_corpus(stage_dir: Path) -> Corpus:
@@ -200,14 +202,11 @@ def load_corpus(stage_dir: Path) -> Corpus:
 # ---------------------------------------------------------------------------
 # bicm stage
 
-def stage_bicm(
-    config: PipelineConfig, corpus: Corpus, out: Path, stage_hash: str
-) -> tuple[bicm.BipartiteGraph, bicm.BicmModel]:
-    stage_dir = out / "bicm"
+def stage_bicm(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    corpus, _ = upstream["ingest"]
     graph = bicm.build_graph(corpus)
-    if _stage_cached(stage_dir, stage_hash, ["fitness.csv"]):
-        log.info("bicm: reusing cached artifacts")
-        return graph, load_model(stage_dir, graph)
+    if cached is not None:
+        return (graph, load_model(stage_dir, graph)), cached
     model = bicm.solve(graph, tol=config.solver_tol, max_iter=config.solver_max_iter)
     rows = [
         (uid, "user", int(graph.user_degrees[i]), float(model.x[i]))
@@ -217,21 +216,16 @@ def stage_bicm(
         for j, aid in enumerate(graph.url_ids)
     ]
     write_csv(stage_dir / "fitness.csv", ["node_id", "layer", "degree", "fitness"], rows)
-    write_json(
-        stage_dir / "meta.json",
-        {
-            "config_hash": stage_hash,
-            "tol": config.solver_tol,
-            "max_iter": config.solver_max_iter,
-            "iterations": model.iterations,
-            "residual": model.residual,
-            "forced_links": sorted([i, a] for i, a in model.forced_links),
-            "n_users": graph.n_users,
-            "n_urls": graph.n_urls,
-            "n_links": graph.n_links,
-        },
-    )
-    return graph, model
+    return (graph, model), {
+        "tol": config.solver_tol,
+        "max_iter": config.solver_max_iter,
+        "iterations": model.iterations,
+        "residual": model.residual,
+        "forced_links": sorted([i, a] for i, a in model.forced_links),
+        "n_users": graph.n_users,
+        "n_urls": graph.n_urls,
+        "n_links": graph.n_links,
+    }
 
 
 def load_model(stage_dir: Path, graph: bicm.BipartiteGraph) -> bicm.BicmModel:
@@ -259,27 +253,13 @@ def load_model(stage_dir: Path, graph: bicm.BipartiteGraph) -> bicm.BicmModel:
 # ---------------------------------------------------------------------------
 # projection stage
 
-def stage_projection(
-    config: PipelineConfig,
-    graph: bicm.BipartiteGraph,
-    model: bicm.BicmModel,
-    out: Path,
-    stage_hash: str,
-) -> projection.ValidatedNetwork:
-    stage_dir = out / "projection"
-    if _stage_cached(stage_dir, stage_hash, ["validated_edges.csv"]):
-        log.info("projection: reusing cached artifacts")
-        return load_validated(stage_dir, graph)
+def stage_projection(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    graph, model = upstream["bicm"]
+    if cached is not None:
+        return load_validated(stage_dir, graph), cached
     network = projection.validate_projection(graph, model, alpha=config.alpha)
-    write_csv(
-        stage_dir / "validated_edges.csv",
-        ["url_a", "url_b", "pvalue"],
-        [(a, b, p) for a, b, p in network.edges],
-    )
-    write_json(
-        stage_dir / "meta.json", {"config_hash": stage_hash, **_projection_summary(network)}
-    )
-    return network
+    write_csv(stage_dir / "validated_edges.csv", ["url_a", "url_b", "pvalue"], network.edges)
+    return network, _projection_summary(network)
 
 
 def _projection_summary(network: projection.ValidatedNetwork) -> dict:
@@ -313,29 +293,14 @@ def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph) -> projection.Va
 # ---------------------------------------------------------------------------
 # nec stage
 
-def stage_nec(
-    config: PipelineConfig,
-    network: projection.ValidatedNetwork,
-    corpus: Corpus,
-    kb: KnowledgeBase,
-    out: Path,
-    stage_hash: str,
-) -> nec.Partition:
-    stage_dir = out / "nec"
-    if _stage_cached(stage_dir, stage_hash, ["partition.csv"]):
-        log.info("nec: reusing cached artifacts")
-        return load_partition(stage_dir)
-    partition = nec.louvain(
-        network,
-        seed=config.louvain_seed,
-        weighted=config.weighted_louvain,
-        resolution=config.resolution,
-    )
-    write_csv(
-        stage_dir / "partition.csv",
-        ["url", "community"],
-        sorted(partition.assignment.items()),
-    )
+def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    if cached is not None:
+        return load_partition(stage_dir), cached
+    corpus, kb = upstream["ingest"]
+    partition = nec.louvain(upstream["projection"], seed=config.louvain_seed,
+                            weighted=config.weighted_louvain, resolution=config.resolution)
+    write_csv(stage_dir / "partition.csv", ["url", "community"],
+              sorted(partition.assignment.items()))
     rows = nec.nec_summary(partition, corpus)
     write_csv(
         stage_dir / "nec_summary.csv",
@@ -368,20 +333,13 @@ def stage_nec(
             )
         )
     write_csv(stage_dir / "purity.csv", ["community", "purity_T", "purity_N"], purity_rows)
-    write_json(
-        stage_dir / "meta.json",
-        {
-            "config_hash": stage_hash,
-            "modularity": partition.modularity,
-            "pass_modularities": partition.pass_modularities,
-            "n_communities": len(partition.community_ids()),
-            "n_unclustered": sum(
-                1 for c in partition.assignment.values() if c == nec.UNCLUSTERED
-            ),
-            "louvain_seed": config.louvain_seed,
-        },
-    )
-    return partition
+    return partition, {
+        "modularity": partition.modularity,
+        "pass_modularities": partition.pass_modularities,
+        "n_communities": len(partition.community_ids()),
+        "n_unclustered": sum(1 for c in partition.assignment.values() if c == nec.UNCLUSTERED),
+        "louvain_seed": config.louvain_seed,
+    }
 
 
 def load_partition(stage_dir: Path) -> nec.Partition:
@@ -400,41 +358,31 @@ def load_partition(stage_dir: Path) -> nec.Partition:
 # ---------------------------------------------------------------------------
 # voters stage
 
-def stage_voters(
-    config: PipelineConfig,
-    corpus: Corpus,
-    network: projection.ValidatedNetwork,
-    kb: KnowledgeBase,
-    out: Path,
-    stage_hash: str,
-) -> dict[StrategyKind, list[VoterProfile]]:
-    stage_dir = out / "voters"
+def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    """Profiles are always rebuilt; the voter tables are written only when not cached."""
+    corpus, kb = upstream["ingest"]
     profiles = {
-        kind: voters_mod.build_voter_profiles(kind, corpus, network, kb)
+        kind: voters_mod.build_voter_profiles(kind, corpus, upstream["projection"], kb)
         for kind in config.strategy_kinds()
     }
-    if not _stage_cached(stage_dir, stage_hash, []):
-        for kind, profs in profiles.items():
-            for theta in config.thetas():
-                surviving = voters_mod.filter_min_publishers(profs, theta)
-                write_csv(
-                    stage_dir / f"voters_{kind.value}_theta{theta:02d}.csv",
-                    ["user_id", "strategy", "value", "diet", "n_articles"],
-                    [
-                        (v.user_id, v.strategy.value, v.value, v.diet, len(v.articles))
-                        for v in surviving
-                    ],
-                )
-        write_json(
-            stage_dir / "meta.json",
-            {
-                "config_hash": stage_hash,
-                "strategies": [k.value for k in profiles],
-                "thetas": list(config.thetas()),
-                "n_voters": {k.value: len(v) for k, v in profiles.items()},
-            },
-        )
-    return profiles
+    if cached is not None:
+        return profiles, cached
+    for kind, profs in profiles.items():
+        for theta in config.thetas():
+            surviving = voters_mod.filter_min_publishers(profs, theta)
+            write_csv(
+                stage_dir / f"voters_{kind.value}_theta{theta:02d}.csv",
+                ["user_id", "strategy", "value", "diet", "n_articles"],
+                [
+                    (v.user_id, v.strategy.value, v.value, v.diet, len(v.articles))
+                    for v in surviving
+                ],
+            )
+    return profiles, {
+        "strategies": [k.value for k in profiles],
+        "thetas": list(config.thetas()),
+        "n_voters": {k.value: len(v) for k, v in profiles.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +457,11 @@ def compute_sweep(
     return points
 
 
-def stage_classify(
-    config: PipelineConfig,
-    corpus: Corpus,
-    network: projection.ValidatedNetwork,
-    kb: KnowledgeBase,
-    profiles: dict[StrategyKind, list[VoterProfile]],
-    out: Path,
-    stage_hash: str,
-) -> tuple[dict, list[SweepPoint]]:
-    stage_dir = out / "classify"
+def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    """Value: (report section, sweep); a cached classify stage yields (None, its sweep)."""
+    if cached is not None:
+        return (None, load_sweep(stage_dir)), cached
+    (corpus, kb), network, profiles = upstream["ingest"], upstream["projection"], upstream["voters"]
     results: dict = {"strategies": {}, "sweep": []}
     coverage_rows = []
     for kind, profs in profiles.items():
@@ -631,23 +574,14 @@ def stage_classify(
         ],
     )
     results["sweep"] = [asdict(p) for p in sweep]
-    write_json(stage_dir / "meta.json", {"config_hash": stage_hash})
-    return results, sweep
+    return (results, sweep), {}
 
 
 # ---------------------------------------------------------------------------
 # figures stage
 
-def stage_figures(
-    config: PipelineConfig,
-    corpus: Corpus,
-    kb: KnowledgeBase,
-    partition: nec.Partition,
-    sweep: list[SweepPoint],
-    out: Path,
-    stage_hash: str,
-) -> None:
-    stage_dir = out / "figures"
+def stage_figures(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    (corpus, kb), partition, (_, sweep) = upstream["ingest"], upstream["nec"], upstream["classify"]
     purity_rows = []
     for c in partition.community_ids():
         members = partition.members(c)
@@ -669,14 +603,11 @@ def stage_figures(
         ["strategy", "theta", "n_voters"],
         [(p.strategy, p.theta, p.n_voters) for p in sweep],
     )
-    coverage_rows = []
-    for p in sweep:
-        for level in ("T", "N", "UNC"):
-            coverage_rows.append((p.strategy, p.theta, level, p.covered[level]))
     write_csv(
         stage_dir / "fig_coverage_vs_theta.csv",
         ["strategy", "theta", "level", "covered"],
-        coverage_rows,
+        [(p.strategy, p.theta, level, p.covered[level])
+         for p in sweep for level in ("T", "N", "UNC")],
     )
     write_csv(
         stage_dir / "fig_balanced_accuracy_vs_theta.csv",
@@ -691,7 +622,7 @@ def stage_figures(
         ["strategy", "theta", "knowledge"],
         [(p.strategy, p.theta, p.knowledge) for p in sweep],
     )
-    write_json(stage_dir / "meta.json", {"config_hash": stage_hash})
+    return None, {}
 
 
 FIGURE_FILES = (
@@ -721,37 +652,19 @@ def load_sweep(stage_dir: Path) -> list[SweepPoint]:
     return points
 
 
-def emit_figures(config: PipelineConfig) -> Path:
-    """Figure tables from a completed run's persisted stage artifacts."""
-    out = Path(config.out_dir)
-    required = {
-        "ingest": ["meta.json", "interactions.csv", "share_events.csv"],
-        "nec": ["meta.json", "partition.csv"],
-        "classify": ["meta.json", "sweep.csv"],
-    }
-    missing = [
-        stage
-        for stage, names in required.items()
-        if not all((out / stage / n).exists() for n in names)
-    ]
-    if missing:
-        raise ValueError(f"incomplete run, missing stages: {', '.join(missing)}")
-    corpus = load_corpus(out / "ingest")
-    kb = load_knowledge_base(config.knowledge_base)
-    partition = load_partition(out / "nec")
-    sweep = load_sweep(out / "classify")
-    hashes = stage_hashes(config)
-    stage_figures(config, corpus, kb, partition, sweep, out, hashes["figures"])
-    return out / "figures"
-
-
 # ---------------------------------------------------------------------------
 # hashes and the full run
 
 def stage_hashes(config: PipelineConfig) -> dict[str, str]:
-    """Chained hashes of the configuration slice feeding each stage."""
-    posts_sha = _sha256_file(config.posts)
-    kb_sha = _sha256_file(config.knowledge_base)
+    """Chained hashes of the configuration slice feeding each stage.
+
+    An unreadable input file is an ingest failure: ingest is the stage that reads it.
+    """
+    try:
+        posts_sha = _sha256_file(config.posts)
+        kb_sha = _sha256_file(config.knowledge_base)
+    except OSError as exc:
+        raise StageError("ingest", exc) from exc
     h: dict[str, str] = {}
     h["ingest"] = _hash_obj(
         {"stage": "ingest", "posts": posts_sha, "kb": kb_sha,
@@ -784,6 +697,97 @@ def stage_hashes(config: PipelineConfig) -> dict[str, str]:
     return h
 
 
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    reads: tuple[str, ...]  # stages whose values its function takes
+    artifacts: tuple[str, ...]  # files besides meta.json that reusing it needs
+    always_run: bool = False  # a run recomputes it even when its cache is current
+
+
+#: the method's chain in run order; a stage reads only stages listed before it
+STAGES = (
+    Stage("ingest", (), ("interactions.csv", "share_events.csv")),
+    Stage("bicm", ("ingest",), ("fitness.csv",)),
+    Stage("projection", ("bicm",), ("validated_edges.csv",)),
+    Stage("nec", ("ingest", "projection"), ("partition.csv",)),
+    Stage("voters", ("ingest", "projection"), ()),
+    # its report section is not persisted, so a run cannot reuse classify;
+    # emit_figures reuses its sweep
+    Stage("classify", ("ingest", "projection", "voters"), ("sweep.csv",), always_run=True),
+    Stage("figures", ("ingest", "nec", "classify"), (), always_run=True),
+)
+
+
+def _reusable(stage: Stage, out: Path, stage_hash: str) -> dict | None:
+    """The stage's meta when it carries ``stage_hash`` and its artifacts exist."""
+    stage_dir = out / stage.name
+    meta = _read_meta(stage_dir)
+    if meta is None or meta.get("config_hash") != stage_hash:
+        return None
+    return meta if all((stage_dir / f).exists() for f in stage.artifacts) else None
+
+
+def _run_stage(stage: Stage, config: PipelineConfig, values: dict, out: Path,
+               stage_hash: str, reuse: bool) -> tuple[object, dict]:
+    """Load or compute one stage; (value, meta). Any failure raises StageError."""
+    started = time.perf_counter()
+    stage_dir = out / stage.name
+    try:
+        cached = _reusable(stage, out, stage_hash) if reuse else None
+        if cached is not None:
+            log.info("%s: reusing cached artifacts", stage.name)
+        else:
+            # a crash from here on must leave no meta.json beside new artifacts
+            (stage_dir / "meta.json").unlink(missing_ok=True)
+        run = globals()[f"stage_{stage.name}"]  # looked up per call: tracers replace it
+        value, meta = run(config, values, stage_dir, cached)
+        if cached is None:
+            meta = {"config_hash": stage_hash, **meta}
+            write_json(stage_dir / "meta.json", meta)
+    except Exception as exc:
+        raise StageError(stage.name, exc) from exc
+    log.info("%s: done in %.3f s", stage.name, time.perf_counter() - started)
+    return value, meta
+
+
+def run_stages(config: PipelineConfig, target: str) -> tuple[dict, dict, dict]:
+    """Run ``target`` and every stage it reads, in table order; (values, metas, hashes)."""
+    out = Path(config.out_dir)
+    hashes = stage_hashes(config)
+    needed = {target}
+    for stage in reversed(STAGES):
+        if stage.name in needed:
+            needed.update(stage.reads)
+    values, metas = {}, {}
+    for stage in STAGES:
+        if stage.name in needed:
+            values[stage.name], metas[stage.name] = _run_stage(
+                stage, config, values, out, hashes[stage.name], not stage.always_run
+            )
+    return values, metas, hashes
+
+
+def emit_figures(config: PipelineConfig) -> Path:
+    """Figure tables from a completed run's persisted stage artifacts.
+
+    A stage the figures read that is absent or stale under ``config`` is missing.
+    """
+    out = Path(config.out_dir)
+    hashes = stage_hashes(config)
+    figures = STAGES[-1]
+    inputs = [s for s in STAGES if s.name in figures.reads]
+    missing = [s.name for s in inputs if _reusable(s, out, hashes[s.name]) is None]
+    if missing:
+        raise ValueError(f"incomplete run, missing stages: {', '.join(missing)}")
+    values: dict = {}
+    for stage in (*inputs, figures):
+        values[stage.name], _ = _run_stage(
+            stage, config, values, out, hashes[stage.name], stage is not figures
+        )
+    return out / "figures"
+
+
 @dataclass
 class PipelineResult:
     out_dir: Path
@@ -799,47 +803,11 @@ class PipelineResult:
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage in order, persisting artifacts under out_dir."""
+    values, metas, hashes = run_stages(config, "figures")
+    (corpus, kb), (graph, model) = values["ingest"], values["bicm"]
+    network, partition, profiles = values["projection"], values["nec"], values["voters"]
+    results, _ = values["classify"]
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    stage = "ingest"
-    try:
-        hashes = stage_hashes(config)
-        corpus, kb, ingest_meta = stage_ingest(config, out, hashes["ingest"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "bicm"
-    try:
-        graph, model = stage_bicm(config, corpus, out, hashes["bicm"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "projection"
-    try:
-        network = stage_projection(config, graph, model, out, hashes["projection"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "nec"
-    try:
-        partition = stage_nec(config, network, corpus, kb, out, hashes["nec"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "voters"
-    try:
-        profiles = stage_voters(config, corpus, network, kb, out, hashes["voters"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "classify"
-    try:
-        results, sweep = stage_classify(
-            config, corpus, network, kb, profiles, out, hashes["classify"]
-        )
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    stage = "figures"
-    try:
-        stage_figures(config, corpus, kb, partition, sweep, out, hashes["figures"])
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
     # paths are machine-specific; the report carries content hashes instead
     config_echo = {**asdict(config), "strategies": list(config.strategies)}
@@ -852,7 +820,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "knowledge_base_sha256": _sha256_file(config.knowledge_base),
         },
         "stage_hashes": hashes,
-        "ingest": {k: v for k, v in ingest_meta.items() if k != "config_hash"},
+        "ingest": {k: v for k, v in metas["ingest"].items() if k != "config_hash"},
         "bicm": {
             "iterations": model.iterations,
             "residual": model.residual,

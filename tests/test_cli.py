@@ -102,6 +102,36 @@ def test_figures_on_incomplete_run_reports_missing(synth_inputs, tmp_path, capsy
     assert "missing stages" in err
 
 
+def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
+    out = tmp_path / "stale"
+    args = base_args(synth_inputs, out)
+    assert main(["run", *args]) == 0
+    assert main(["validate", *args, "--alpha", "1e-4"]) == 0
+    capsys.readouterr()
+    assert main(["figures", *args, "--alpha", "1e-4"]) == EXIT_CODES["figures"]
+    assert "missing stages: nec, classify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        ('{"pvalue_method": "exact"}', "pvalue_method"),
+        ("{not json", "config.json"),
+        (None, "config.json"),
+    ],
+    ids=["unknown-key", "malformed-json", "missing-file"],
+)
+def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    code = main(["run", "--config", str(cfg), *base_args(synth_inputs, tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_missing_required_inputs_is_usage_error(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "x")]) == 1
 

@@ -143,6 +143,29 @@ class TestDeterminism:
         assert (out / "projection" / "validated_edges.csv").stat().st_mtime_ns != stamp
         assert json.loads(meta_path.read_text())["config_hash"] == hashes["projection"]
 
+    def test_crash_before_meta_leaves_nothing_reusable(self, tmp_path, monkeypatch):
+        # the acceptance spec: 49 edges at alpha 0.05, 1 at 1e-4
+        generate_synthetic(SyntheticSpec(200, 15, 10), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+        out = tmp_path / "crash"
+        run_pipeline(make_config(tmp_path, out, theta_max=2))
+        edges_path = out / "projection" / "validated_edges.csv"
+        edges = edges_path.read_bytes()
+        write_json = pipeline.write_json
+
+        def crash_on_projection_meta(path, obj):
+            if path.parent.name == "projection" and path.name == "meta.json":
+                raise OSError("disk full")
+            write_json(path, obj)
+
+        monkeypatch.setattr(pipeline, "write_json", crash_on_projection_meta)
+        with pytest.raises(StageError) as err:
+            run_pipeline(make_config(tmp_path, out, theta_max=2, alpha=1e-4))
+        assert err.value.stage == "projection"
+        assert edges_path.read_bytes() != edges  # the crashed run wrote its own edges
+        monkeypatch.undo()
+        run_pipeline(make_config(tmp_path, out, theta_max=2))
+        assert edges_path.read_bytes() == edges
+
 
 class TestModelPersistence:
     def test_round_trip_preserves_forced_links_and_fitness(self, tmp_path):
@@ -295,3 +318,27 @@ class TestReportDocument:
         assert len(rows) == len(report["nec"]["summary"])
         for row, entry in zip(rows, report["nec"]["summary"]):
             assert int(row["n_users"]) == entry["n_users"]
+
+
+def test_stage_functions_are_looked_up_at_call_time(inputs, tmp_path, monkeypatch):
+    # tracers wrap pipeline.stage_<name>; every entry point must call through the attribute
+    from trustnet.cli import main
+
+    calls = []
+    stage_nec = pipeline.stage_nec
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return stage_nec(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_nec", counting)
+    run_pipeline(make_config(inputs, tmp_path / "run", theta_max=2))
+    assert len(calls) == 1
+    code = main([
+        "communities",
+        "--posts", str(inputs / "posts.jsonl"),
+        "--knowledge-base", str(inputs / "kb.csv"),
+        "--out", str(tmp_path / "staged"),
+    ])
+    assert code == 0
+    assert len(calls) == 2
