@@ -86,21 +86,13 @@ class CvReport:
 
 
 def publisher_scores(
-    voters: list[VoterProfile],
-    corpus: Corpus,
-    kb: KnowledgeBase,
-    exclude_self_votes: bool = False,
+    voters: list[VoterProfile], corpus: Corpus, kb: KnowledgeBase
 ) -> list[PublisherScore]:
     """Mean voter value per publisher, one unweighted vote per voter.
 
     A voter votes on every publisher they shared at least one corpus article
     of, independent of the strategy that produced their value. Voters without
     a defined value are ignored; publishers nobody votes on are omitted.
-
-    With ``exclude_self_votes`` the value a voter contributes to publisher p
-    is recomputed without p's own articles, so a publisher's score never
-    feeds on its own trust score; voters left without scored articles by the
-    exclusion skip that vote.
     """
     by_user = corpus.user_urls()
     votes: dict[str, list[float]] = defaultdict(list)
@@ -109,12 +101,7 @@ def publisher_scores(
             continue
         touched = {corpus.url_publisher[url] for url in by_user.get(voter.user_id, ())}
         for publisher in touched:
-            value = voter.value
-            if exclude_self_votes:
-                value = _value_without(voter, publisher, corpus, kb)
-                if value is None:
-                    continue
-            votes[publisher].append(value)
+            votes[publisher].append(voter.value)
     return [
         PublisherScore(
             domain=pub,
@@ -124,20 +111,6 @@ def publisher_scores(
         )
         for pub, vals in sorted(votes.items())
     ]
-
-
-def _value_without(
-    voter: VoterProfile, publisher: str, corpus: Corpus, kb: KnowledgeBase
-) -> float | None:
-    scores = [
-        kb.score(corpus.url_publisher[url])
-        for url in voter.articles
-        if corpus.url_publisher[url] != publisher
-        and kb.score(corpus.url_publisher[url]) is not None
-    ]
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
 
 
 def coverage(

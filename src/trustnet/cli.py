@@ -59,20 +59,6 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
         dest="strategies",
         help="restrict to a strategy (repeatable)",
     )
-    p.add_argument(
-        "--etld1",
-        dest="reduce_to_etld1",
-        action="store_const",
-        const=True,
-        help="reduce publisher domains to their registrable part",
-    )
-    p.add_argument(
-        "--weighted-louvain",
-        dest="weighted_louvain",
-        action="store_const",
-        const=True,
-        help="weight validated edges by -log10 p",
-    )
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:

@@ -23,17 +23,9 @@ log = logging.getLogger(__name__)
 
 POST_KINDS = ("original", "retweet", "quote", "reply")
 
-#: Post kinds that enter the corpus. Quotes are always excluded: the stance
-#: of a quoted URL is ambiguous without reading the added commentary.
+#: Post kinds that enter the corpus. Quotes are excluded: the stance of a
+#: quoted URL is ambiguous without reading the added commentary.
 DEFAULT_INCLUDE_KINDS = frozenset({"original", "retweet", "reply"})
-
-# Minimal multi-part suffix table for the optional eTLD+1 reduction.
-# Deliberately small and embedded: the default pipeline never uses it.
-_COMMON_MULTIPART_SUFFIXES = frozenset({
-    "co.uk", "org.uk", "ac.uk", "gov.uk", "co.jp", "ne.jp", "or.jp",
-    "com.au", "net.au", "org.au", "com.br", "com.cn", "com.mx", "co.in",
-    "co.nz", "co.za", "com.ar", "com.tr",
-})
 
 
 class Label(str, Enum):
@@ -113,12 +105,11 @@ class Corpus:
         return by_user
 
 
-def extract_domain(url: str, reduce_to_etld1: bool = False) -> str | None:
+def extract_domain(url: str) -> str | None:
     """Publisher domain of an absolute URL, or None if the URL has no host.
 
-    Lowercases the host, strips one leading ``www.`` and any port. The
-    optional eTLD+1 reduction keeps the registrable part only (heuristic,
-    table-driven; off by default).
+    Lowercases the host, strips one leading ``www.`` and any port; the rest
+    of the host is kept in full.
     """
     try:
         parts = urlsplit(url)
@@ -130,24 +121,16 @@ def extract_domain(url: str, reduce_to_etld1: bool = False) -> str | None:
     host = host.lower().strip(".")
     if host.startswith("www."):
         host = host[len("www."):]
-    if not host:
-        return None
-    if reduce_to_etld1:
-        labels = host.split(".")
-        if len(labels) > 2:
-            tail2 = ".".join(labels[-2:])
-            keep = 3 if tail2 in _COMMON_MULTIPART_SUFFIXES else 2
-            host = ".".join(labels[-keep:])
-    return host
+    return host or None
 
 
-def canonical_url(url: str, reduce_to_etld1: bool = False) -> str | None:
+def canonical_url(url: str) -> str | None:
     """Canonical article identity: scheme + normalized host + path.
 
     Query string, fragment and port are dropped; the host is normalized
     exactly like :func:`extract_domain`.
     """
-    domain = extract_domain(url, reduce_to_etld1=reduce_to_etld1)
+    domain = extract_domain(url)
     if domain is None:
         return None
     path = urlsplit(url).path
@@ -212,28 +195,22 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     return posts, malformed
 
 
-def build_corpus(
-    posts: Iterable[RawPost],
-    include_kinds: Iterable[str] = DEFAULT_INCLUDE_KINDS,
-    reduce_to_etld1: bool = False,
-) -> Corpus:
+def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     """Assemble the interaction corpus from parsed posts.
 
     Interactions are deduplicated on (user, url); share events keep post
-    multiplicity. Quote posts never contribute, regardless of
-    ``include_kinds``.
+    multiplicity. Only posts of a kind in ``DEFAULT_INCLUDE_KINDS`` contribute.
     """
-    kinds = set(include_kinds) - {"quote"}
     interactions: set[tuple[str, str, str]] = set()
     share_events: list[tuple[str, str, str]] = []
     url_publisher: dict[str, str] = {}
     skipped = 0
     for post in posts:
-        if post.kind not in kinds:
+        if post.kind not in DEFAULT_INCLUDE_KINDS:
             continue
         for raw_url in post.urls:
-            url = canonical_url(raw_url, reduce_to_etld1=reduce_to_etld1)
-            domain = extract_domain(raw_url, reduce_to_etld1=reduce_to_etld1)
+            url = canonical_url(raw_url)
+            domain = extract_domain(raw_url)
             if url is None or domain is None:
                 skipped += 1
                 continue

@@ -6,7 +6,6 @@ with respect to publisher trust labels, and per-community summary statistics.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -41,16 +40,9 @@ class NecRow:
     n_shares: int
 
 
-def _edge_weights(network: ValidatedNetwork, weighted: bool) -> dict[tuple[str, str], float]:
-    weights: dict[tuple[str, str], float] = {}
-    for a, b, pval in network.edges:
-        key = (a, b) if a < b else (b, a)
-        if weighted:
-            w = -math.log10(pval) if pval > 0 else 350.0
-        else:
-            w = 1.0
-        weights[key] = w
-    return weights
+def _edge_weights(network: ValidatedNetwork) -> dict[tuple[str, str], float]:
+    """Unit weight per validated edge, keyed by its ordered URL pair."""
+    return {(a, b) if a < b else (b, a): 1.0 for a, b, _ in network.edges}
 
 
 class _LevelGraph:
@@ -151,22 +143,15 @@ def _aggregate(graph: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, dict[i
     return agg, remap
 
 
-def louvain(
-    network: ValidatedNetwork,
-    seed: int = 0,
-    weighted: bool = False,
-    resolution: float = 1.0,
-) -> Partition:
-    """Two-phase Louvain on the validated URL network.
+def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
+    """Two-phase Louvain (plain modularity) on the unweighted validated URL network.
 
     Deterministic for a fixed seed: the node visit order at each level is a
     seeded shuffle of the sorted id order. URLs of the tested universe that
     carry no validated edge are assigned the reserved community -1.
     """
-    if resolution != 1.0:
-        raise NotImplementedError("only resolution 1.0 is supported")
     assignment = {u: UNCLUSTERED for u in network.urls}
-    weights = _edge_weights(network, weighted)
+    weights = _edge_weights(network)
     if not weights:
         return Partition(assignment=assignment, modularity=0.0)
 
@@ -260,7 +245,7 @@ def modularity(network: ValidatedNetwork, assignment: dict[str, int]) -> float:
     for a, b, _ in network.edges:
         if a not in assignment or b not in assignment:
             raise ValueError("assignment must cover every network node")
-    return modularity_of_edges(_edge_weights(network, weighted=False), assignment)
+    return modularity_of_edges(_edge_weights(network), assignment)
 
 
 def purity(

@@ -1,14 +1,15 @@
 """End-to-end orchestration: the stage table, its runner, persistence, figures.
 
 ``STAGES`` declares the method's chain once: each entry names a stage, the
-stages it reads and the artifacts a rerun needs in order to reuse it. One
-runner walks it for every entry point: ``run_pipeline`` runs every stage,
-``run_stages`` one target stage and the stages it reads (the CLI's stage
-subcommands), and ``emit_figures`` checks the figure inputs with the same
-reuse test, then runs only the figures stage. The runner owns the reuse test
-(meta.json holds the hash of the stage's configuration slice, and the
-artifacts exist), deletes meta.json before a recompute and writes it last, so
-a crash leaves nothing reusable, and wraps any failure in ``StageError``.
+tag of its algorithm, the stages it reads, the settings its hash covers and
+the artifacts a rerun needs in order to reuse it. One runner walks it for
+every entry point: ``run_pipeline`` runs every stage, ``run_stages`` one
+target stage and the stages it reads (the CLI's stage subcommands), and
+``emit_figures`` checks the figure inputs with the same reuse test, then runs
+only the figures stage. The runner owns the reuse test (meta.json holds the
+stage's hash, and the artifacts exist), deletes meta.json before a recompute
+and writes it last, so a crash leaves nothing reusable, and wraps any
+failure in ``StageError``.
 Each ``stage_<name>(config, upstream, stage_dir, cached) -> (value, meta)``
 keeps only its compute, write and load body. The runner looks it up by name
 at call time, so a wrapper set on the module attribute sees every call.
@@ -27,6 +28,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -59,14 +61,11 @@ class PipelineConfig:
     solver_tol: float = 1e-8
     solver_max_iter: int = 10_000
     louvain_seed: int = 0
-    resolution: float = 1.0
     strategies: tuple[str, ...] = tuple(s.value for s in ALL_STRATEGIES)
     theta_min: int = 0
     theta_max: int = 30
     cv_folds: int = 10
     cv_seed: int = 0
-    reduce_to_etld1: bool = False
-    weighted_louvain: bool = False
 
     @classmethod
     def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
@@ -129,6 +128,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def read_csv(path: Path) -> list[list[str]]:
+    """The rows of a CSV written by ``write_csv``, header dropped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def write_json(path: Path, obj) -> None:
     """Write through a temporary file, so ``path`` is never left half-written."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -155,7 +160,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     if cached is not None:
         return (load_corpus(stage_dir), kb), cached
     posts, malformed = load_posts(config.posts)
-    corpus = build_corpus(posts, reduce_to_etld1=config.reduce_to_etld1)
+    corpus = build_corpus(posts)
     if not corpus.interactions:
         raise ValueError("corpus is empty after ingest")
     write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
@@ -183,15 +188,10 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
 def load_corpus(stage_dir: Path) -> Corpus:
     interactions: set[tuple[str, str, str]] = set()
     url_publisher: dict[str, str] = {}
-    with open(stage_dir / "interactions.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            user, url, publisher = row
-            interactions.add((user, url, publisher))
-            url_publisher[url] = publisher
-    share_events = []
-    with open(stage_dir / "share_events.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            share_events.append((row[0], row[1], row[2]))
+    for user, url, publisher in read_csv(stage_dir / "interactions.csv"):
+        interactions.add((user, url, publisher))
+        url_publisher[url] = publisher
+    share_events = [tuple(row) for row in read_csv(stage_dir / "share_events.csv")]
     return Corpus(
         interactions=interactions,
         share_events=share_events,
@@ -230,10 +230,7 @@ def stage_bicm(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: 
 
 def load_model(stage_dir: Path, graph: bicm.BipartiteGraph) -> bicm.BicmModel:
     meta = _read_meta(stage_dir)
-    fitness: dict[tuple[str, str], float] = {}
-    with open(stage_dir / "fitness.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            fitness[(row[1], row[0])] = float(row[3])
+    fitness = {(row[1], row[0]): float(row[3]) for row in read_csv(stage_dir / "fitness.csv")}
     x = np.array([fitness[("user", u)] for u in graph.user_ids])
     y = np.array([fitness[("url", a)] for a in graph.url_ids])
     return bicm.BicmModel(
@@ -276,13 +273,9 @@ def _projection_summary(network: projection.ValidatedNetwork) -> dict:
 
 def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph) -> projection.ValidatedNetwork:
     meta = _read_meta(stage_dir)
-    edges = []
-    with open(stage_dir / "validated_edges.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            edges.append((row[0], row[1], float(row[2])))
     return projection.ValidatedNetwork(
         urls=graph.url_ids,
-        edges=edges,
+        edges=[(a, b, float(p)) for a, b, p in read_csv(stage_dir / "validated_edges.csv")],
         alpha=float(meta["alpha"]),
         n_hypotheses=int(meta["n_hypotheses"]),
         bh_threshold=float(meta["bh_threshold"]),
@@ -297,8 +290,7 @@ def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: d
     if cached is not None:
         return load_partition(stage_dir), cached
     corpus, kb = upstream["ingest"]
-    partition = nec.louvain(upstream["projection"], seed=config.louvain_seed,
-                            weighted=config.weighted_louvain, resolution=config.resolution)
+    partition = nec.louvain(upstream["projection"], seed=config.louvain_seed)
     write_csv(stage_dir / "partition.csv", ["url", "community"],
               sorted(partition.assignment.items()))
     rows = nec.nec_summary(partition, corpus)
@@ -344,12 +336,8 @@ def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: d
 
 def load_partition(stage_dir: Path) -> nec.Partition:
     meta = _read_meta(stage_dir)
-    assignment = {}
-    with open(stage_dir / "partition.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            assignment[row[0]] = int(row[1])
     return nec.Partition(
-        assignment=assignment,
+        assignment={url: int(c) for url, c in read_csv(stage_dir / "partition.csv")},
         modularity=float(meta["modularity"]),
         pass_modularities=list(meta["pass_modularities"]),
     )
@@ -357,6 +345,11 @@ def load_partition(stage_dir: Path) -> nec.Partition:
 
 # ---------------------------------------------------------------------------
 # voters stage
+
+def voter_table(strategy: str, theta: int) -> str:
+    """File name of the voters stage's table for one strategy and θ."""
+    return f"voters_{strategy}_theta{theta:02d}.csv"
+
 
 def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     """Profiles are always rebuilt; the voter tables are written only when not cached."""
@@ -371,7 +364,7 @@ def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
         for theta in config.thetas():
             surviving = voters_mod.filter_min_publishers(profs, theta)
             write_csv(
-                stage_dir / f"voters_{kind.value}_theta{theta:02d}.csv",
+                stage_dir / voter_table(kind.value, theta),
                 ["user_id", "strategy", "value", "diet", "n_articles"],
                 [
                     (v.user_id, v.strategy.value, v.value, v.diet, len(v.articles))
@@ -635,106 +628,90 @@ FIGURE_FILES = (
 
 
 def load_sweep(stage_dir: Path) -> list[SweepPoint]:
-    points = []
-    with open(stage_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            points.append(
-                SweepPoint(
-                    strategy=row[0],
-                    theta=int(row[1]),
-                    n_voters=int(row[2]),
-                    covered={"T": int(row[3]), "N": int(row[4]), "UNC": int(row[5])},
-                    balanced_accuracy_mean=float(row[6]) if row[6] else None,
-                    balanced_accuracy_std=float(row[7]) if row[7] else None,
-                    knowledge=int(row[8]),
-                )
-            )
-    return points
+    return [
+        SweepPoint(
+            strategy=row[0],
+            theta=int(row[1]),
+            n_voters=int(row[2]),
+            covered={"T": int(row[3]), "N": int(row[4]), "UNC": int(row[5])},
+            balanced_accuracy_mean=float(row[6]) if row[6] else None,
+            balanced_accuracy_std=float(row[7]) if row[7] else None,
+            knowledge=int(row[8]),
+        )
+        for row in read_csv(stage_dir / "sweep.csv")
+    ]
 
 
 # ---------------------------------------------------------------------------
-# hashes and the full run
-
-def stage_hashes(config: PipelineConfig) -> dict[str, str]:
-    """Chained hashes of the configuration slice feeding each stage.
-
-    An unreadable input file is an ingest failure: ingest is the stage that reads it.
-    """
-    try:
-        posts_sha = _sha256_file(config.posts)
-        kb_sha = _sha256_file(config.knowledge_base)
-    except OSError as exc:
-        raise StageError("ingest", exc) from exc
-    h: dict[str, str] = {}
-    h["ingest"] = _hash_obj(
-        {"stage": "ingest", "posts": posts_sha, "kb": kb_sha,
-         "etld1": config.reduce_to_etld1}
-    )
-    h["bicm"] = _hash_obj(
-        {"stage": "bicm", "parent": h["ingest"], "tol": config.solver_tol,
-         "max_iter": config.solver_max_iter}
-    )
-    h["projection"] = _hash_obj(
-        {"stage": "projection", "parent": h["bicm"], "alpha": config.alpha,
-         "tails": projection.TAILS_ALGORITHM}
-    )
-    h["nec"] = _hash_obj(
-        {"stage": "nec", "parent": h["projection"], "seed": config.louvain_seed,
-         "resolution": config.resolution, "weighted": config.weighted_louvain}
-    )
-    h["voters"] = _hash_obj(
-        {"stage": "voters", "parent": h["projection"],
-         "strategies": list(config.strategies),
-         "theta": [config.theta_min, config.theta_max]}
-    )
-    h["classify"] = _hash_obj(
-        {"stage": "classify", "parent": h["voters"],
-         "cv_folds": config.cv_folds, "cv_seed": config.cv_seed}
-    )
-    h["figures"] = _hash_obj(
-        {"stage": "figures", "parents": [h["nec"], h["classify"]]}
-    )
-    return h
-
+# the stage table, hashes and the full run
 
 @dataclass(frozen=True)
 class Stage:
     name: str
+    tag: str  # version of the stage's algorithm: bump it when its output bytes change
     reads: tuple[str, ...]  # stages whose values its function takes
-    artifacts: tuple[str, ...]  # files besides meta.json that reusing it needs
+    settings: tuple[str, ...]  # PipelineConfig fields its hash covers
+    artifacts: Callable[[PipelineConfig], tuple[str, ...]]  # files besides meta.json a reuse needs
     always_run: bool = False  # a run recomputes it even when its cache is current
 
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", (), ("interactions.csv", "share_events.csv")),
-    Stage("bicm", ("ingest",), ("fitness.csv",)),
-    Stage("projection", ("bicm",), ("validated_edges.csv",)),
-    Stage("nec", ("ingest", "projection"), ("partition.csv",)),
-    Stage("voters", ("ingest", "projection"), ()),
+    Stage("ingest", "1", (), (),
+          lambda c: ("interactions.csv", "share_events.csv", "publishers.csv")),
+    Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
+          lambda c: ("fitness.csv",)),
+    Stage("projection", "degree-class-1", ("bicm",), ("alpha",),
+          lambda c: ("validated_edges.csv",)),
+    Stage("nec", "1", ("ingest", "projection"), ("louvain_seed",),
+          lambda c: ("partition.csv", "nec_summary.csv", "purity.csv")),
+    Stage("voters", "1", ("ingest", "projection"), ("strategies", "theta_min", "theta_max"),
+          lambda c: tuple(voter_table(s, t) for s in c.strategies for t in c.thetas())),
     # its report section is not persisted, so a run cannot reuse classify;
     # emit_figures reuses its sweep
-    Stage("classify", ("ingest", "projection", "voters"), ("sweep.csv",), always_run=True),
-    Stage("figures", ("ingest", "nec", "classify"), (), always_run=True),
+    Stage("classify", "1", ("ingest", "projection", "voters"), ("cv_folds", "cv_seed"),
+          lambda c: ("sweep.csv",), always_run=True),
+    Stage("figures", "1", ("ingest", "nec", "classify"), (), lambda c: (), always_run=True),
 )
 
 
-def _reusable(stage: Stage, out: Path, stage_hash: str) -> dict | None:
+def stage_hashes(config: PipelineConfig) -> dict[str, str]:
+    """Per stage, the hash of its tag, its settings and the hashes of the stages it reads.
+
+    Ingest hashes the input files' content. An unreadable input file is an
+    ingest failure: ingest is the stage that reads it.
+    """
+    try:
+        inputs = [_sha256_file(config.posts), _sha256_file(config.knowledge_base)]
+    except OSError as exc:
+        raise StageError("ingest", exc) from exc
+    h: dict[str, str] = {}
+    for stage in STAGES:
+        h[stage.name] = _hash_obj({
+            "stage": stage.name,
+            "tag": stage.tag,
+            "parents": [h[r] for r in stage.reads] or inputs,  # only ingest reads no stage
+            "settings": {f: getattr(config, f) for f in stage.settings},
+        })
+    return h
+
+
+def _reusable(stage: Stage, config: PipelineConfig, stage_hash: str) -> dict | None:
     """The stage's meta when it carries ``stage_hash`` and its artifacts exist."""
-    stage_dir = out / stage.name
+    stage_dir = Path(config.out_dir) / stage.name
     meta = _read_meta(stage_dir)
     if meta is None or meta.get("config_hash") != stage_hash:
         return None
-    return meta if all((stage_dir / f).exists() for f in stage.artifacts) else None
+    return meta if all((stage_dir / f).exists() for f in stage.artifacts(config)) else None
 
 
-def _run_stage(stage: Stage, config: PipelineConfig, values: dict, out: Path,
+def _run_stage(stage: Stage, config: PipelineConfig, values: dict,
                stage_hash: str, reuse: bool) -> tuple[object, dict]:
     """Load or compute one stage; (value, meta). Any failure raises StageError."""
     started = time.perf_counter()
-    stage_dir = out / stage.name
+    stage_dir = Path(config.out_dir) / stage.name
     try:
-        cached = _reusable(stage, out, stage_hash) if reuse else None
+        cached = _reusable(stage, config, stage_hash) if reuse else None
         if cached is not None:
             log.info("%s: reusing cached artifacts", stage.name)
         else:
@@ -753,7 +730,6 @@ def _run_stage(stage: Stage, config: PipelineConfig, values: dict, out: Path,
 
 def run_stages(config: PipelineConfig, target: str) -> tuple[dict, dict, dict]:
     """Run ``target`` and every stage it reads, in table order; (values, metas, hashes)."""
-    out = Path(config.out_dir)
     hashes = stage_hashes(config)
     needed = {target}
     for stage in reversed(STAGES):
@@ -763,7 +739,7 @@ def run_stages(config: PipelineConfig, target: str) -> tuple[dict, dict, dict]:
     for stage in STAGES:
         if stage.name in needed:
             values[stage.name], metas[stage.name] = _run_stage(
-                stage, config, values, out, hashes[stage.name], not stage.always_run
+                stage, config, values, hashes[stage.name], not stage.always_run
             )
     return values, metas, hashes
 
@@ -773,19 +749,18 @@ def emit_figures(config: PipelineConfig) -> Path:
 
     A stage the figures read that is absent or stale under ``config`` is missing.
     """
-    out = Path(config.out_dir)
     hashes = stage_hashes(config)
     figures = STAGES[-1]
     inputs = [s for s in STAGES if s.name in figures.reads]
-    missing = [s.name for s in inputs if _reusable(s, out, hashes[s.name]) is None]
+    missing = [s.name for s in inputs if _reusable(s, config, hashes[s.name]) is None]
     if missing:
         raise ValueError(f"incomplete run, missing stages: {', '.join(missing)}")
     values: dict = {}
     for stage in (*inputs, figures):
         values[stage.name], _ = _run_stage(
-            stage, config, values, out, hashes[stage.name], stage is not figures
+            stage, config, values, hashes[stage.name], stage is not figures
         )
-    return out / "figures"
+    return Path(config.out_dir) / "figures"
 
 
 @dataclass

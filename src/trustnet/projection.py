@@ -27,8 +27,6 @@ from .bicm import BicmModel, BipartiteGraph
 
 #: a truncated pmf may drop at most this fraction of the smallest tail read from it
 TRUNCATION = 1e-16
-#: goes into the projection stage hash; change it when the p-values change
-TAILS_ALGORITHM = "degree-class-1"
 
 
 @dataclass(frozen=True)

@@ -411,9 +411,8 @@ def test_criterion_10_report_formats_and_determinism(synthetic_run, tmp_path):
         **{
             **{f: getattr(config, f) for f in (
                 "posts", "knowledge_base", "alpha", "solver_tol",
-                "solver_max_iter", "louvain_seed", "resolution", "strategies",
+                "solver_max_iter", "louvain_seed", "strategies",
                 "theta_min", "theta_max", "cv_folds", "cv_seed",
-                "reduce_to_etld1", "weighted_louvain",
             )},
             "out_dir": str(rerun_out),
         }

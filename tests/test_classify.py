@@ -94,15 +94,6 @@ class TestPublisherScores:
         ]
         default = {s.domain: s for s in publisher_scores(voters, corpus, kb)}
         assert default["a.com"].score == 35.0  # (50 + 20) / 2, leakage retained
-        strict = {
-            s.domain: s
-            for s in publisher_scores(voters, corpus, kb, exclude_self_votes=True)
-        }
-        # v00's vote on a.com now uses only b.com's score; v01 has nothing left
-        assert strict["a.com"].score == 80.0
-        assert strict["a.com"].n_voters == 1
-        # v00's vote on b.com uses only a.com's score
-        assert strict["b.com"].score == 20.0
 
 
 class TestCoverage:

@@ -7,19 +7,19 @@ from trustnet.cli import EXIT_CODES, main
 
 @pytest.fixture(scope="module")
 def synth_inputs(tmp_path_factory):
+    # the default spec: 49 validated edges and 31 communities at alpha 0.05
     tmp = tmp_path_factory.mktemp("cli-inputs")
     code = main([
         "synth",
         "--out-posts", str(tmp / "posts.jsonl"),
         "--out-kb", str(tmp / "kb.csv"),
-        "--users-per-block", "50",
-        "--publishers-per-pool", "6",
-        "--urls-per-publisher", "5",
-        "--p-in", "0.08",
-        "--p-out", "0.008",
-        "--seed", "3",
     ])
     assert code == 0
+    # the tests below check edges and communities only if there are some
+    out = tmp / "guard"
+    assert main(["communities", *base_args(tmp, out)]) == 0
+    assert json.loads((out / "projection" / "meta.json").read_text())["n_edges"] > 0
+    assert json.loads((out / "nec" / "meta.json").read_text())["n_communities"] >= 2
     return tmp
 
 
@@ -116,10 +116,11 @@ def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
     "content, needle",
     [
         ('{"pvalue_method": "exact"}', "pvalue_method"),
+        ('{"resolution": 1.0}', "resolution"),
         ("{not json", "config.json"),
         (None, "config.json"),
     ],
-    ids=["unknown-key", "malformed-json", "missing-file"],
+    ids=["unknown-key", "removed-key", "malformed-json", "missing-file"],
 )
 def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):
     cfg = tmp_path / "config.json"

@@ -88,10 +88,9 @@ class TestExtractDomain:
     def test_single_www_stripped(self):
         assert extract_domain("https://www.www.example.com/") == "www.example.com"
 
-    def test_etld1_reduction_is_opt_in(self):
+    def test_domain_keeps_full_host(self):
         url = "https://amp.news.example.co.uk/story"
         assert extract_domain(url) == "amp.news.example.co.uk"
-        assert extract_domain(url, reduce_to_etld1=True) == "example.co.uk"
 
     def test_canonical_url(self):
         assert canonical_url("https://WWW.Example.com:443/a/b?q=1#frag") == "https://example.com/a/b"
@@ -111,9 +110,6 @@ class TestBuildCorpus:
     def test_quote_posts_never_contribute(self):
         posts = [RawPost("p1", "u1", 0.0, ("https://a.com/x",), "quote")]
         corpus = build_corpus(posts)
-        assert corpus.interactions == set()
-        # even when asked for explicitly
-        corpus = build_corpus(posts, include_kinds={"original", "quote"})
         assert corpus.interactions == set()
 
     def test_two_users_two_urls(self):

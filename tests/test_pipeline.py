@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,8 @@ from trustnet import pipeline
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-SPEC = SyntheticSpec(users_per_block=60, publishers_per_pool=8, urls_per_publisher=6,
-                     p_in=0.08, p_out=0.008, unc_fraction=0.25, seed=5)
+# the acceptance spec: 49 validated edges and 31 communities at alpha 0.05
+SPEC = SyntheticSpec(200, 15, 10)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,11 @@ def make_config(inputs, out, **kwargs):
 def run(inputs, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     config = make_config(inputs, out)
-    return run_pipeline(config), config
+    result = run_pipeline(config)
+    # the tests below check edges and communities only if there are some
+    assert result.network.n_edges > 0
+    assert len(result.partition.community_ids()) >= 2
+    return result, config
 
 
 STAGE_FILES = {
@@ -143,11 +149,53 @@ class TestDeterminism:
         assert (out / "projection" / "validated_edges.csv").stat().st_mtime_ns != stamp
         assert json.loads(meta_path.read_text())["config_hash"] == hashes["projection"]
 
-    def test_crash_before_meta_leaves_nothing_reusable(self, tmp_path, monkeypatch):
-        # the acceptance spec: 49 edges at alpha 0.05, 1 at 1e-4
-        generate_synthetic(SyntheticSpec(200, 15, 10), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+    @pytest.mark.parametrize("artifact", [
+        "voters/voters_DS-ALL_theta01.csv", "nec/purity.csv", "ingest/publishers.csv",
+    ])
+    def test_deleted_artifact_is_rewritten(self, inputs, tmp_path, artifact):
+        out = tmp_path / "repair"
+        config = make_config(inputs, out, theta_max=2)
+        run_pipeline(config)
+        blob = (out / artifact).read_bytes()
+        (out / artifact).unlink()
+        run_pipeline(config)
+        assert (out / artifact).read_bytes() == blob
+
+    def test_bumped_tag_recomputes_its_stage_and_later_readers(
+        self, inputs, tmp_path, monkeypatch, caplog
+    ):
+        out = tmp_path / "tagged"
+        config = make_config(inputs, out, theta_max=2)
+        run_pipeline(config)
+        stages = tuple(
+            dataclasses.replace(s, tag=s.tag + "-next") if s.name == "nec" else s
+            for s in pipeline.STAGES
+        )
+        monkeypatch.setattr(pipeline, "STAGES", stages)
+        stamp = (out / "nec" / "partition.csv").stat().st_mtime_ns
+        with caplog.at_level(logging.INFO):
+            run_pipeline(config)
+        reused = {m.split(":")[0] for m in caplog.messages if "reusing cached artifacts" in m}
+        assert reused == {"ingest", "bicm", "projection", "voters"}
+        assert (out / "nec" / "partition.csv").stat().st_mtime_ns != stamp
+        meta = json.loads((out / "nec" / "meta.json").read_text())
+        assert meta["config_hash"] == pipeline.stage_hashes(config)["nec"]
+
+    def test_every_setting_feeds_a_stage_hash(self, inputs):
+        config = make_config(inputs, "unused")
+        hashes = pipeline.stage_hashes(config)
+        for f in dataclasses.fields(PipelineConfig):
+            if f.name in ("posts", "knowledge_base", "out_dir"):
+                continue
+            value = getattr(config, f.name)
+            other = value[:-1] if isinstance(value, tuple) else value + 1
+            changed = pipeline.stage_hashes(dataclasses.replace(config, **{f.name: other}))
+            assert changed != hashes, f.name
+
+    def test_crash_before_meta_leaves_nothing_reusable(self, inputs, tmp_path, monkeypatch):
+        # the S spec validates 49 edges at alpha 0.05 and 1 at 1e-4
         out = tmp_path / "crash"
-        run_pipeline(make_config(tmp_path, out, theta_max=2))
+        run_pipeline(make_config(inputs, out, theta_max=2))
         edges_path = out / "projection" / "validated_edges.csv"
         edges = edges_path.read_bytes()
         write_json = pipeline.write_json
@@ -159,11 +207,11 @@ class TestDeterminism:
 
         monkeypatch.setattr(pipeline, "write_json", crash_on_projection_meta)
         with pytest.raises(StageError) as err:
-            run_pipeline(make_config(tmp_path, out, theta_max=2, alpha=1e-4))
+            run_pipeline(make_config(inputs, out, theta_max=2, alpha=1e-4))
         assert err.value.stage == "projection"
         assert edges_path.read_bytes() != edges  # the crashed run wrote its own edges
         monkeypatch.undo()
-        run_pipeline(make_config(tmp_path, out, theta_max=2))
+        run_pipeline(make_config(inputs, out, theta_max=2))
         assert edges_path.read_bytes() == edges
 
 
