@@ -43,7 +43,6 @@ from .ingest import (
     extract_domain,
     load_knowledge_base,
     load_posts,
-    url_labels,
 )
 from .nec import (
     NecRow,
@@ -144,7 +143,6 @@ __all__ = [
     "solve",
     "stratified_cv",
     "unclustered_purity",
-    "url_labels",
     "validate_projection",
     "worthy_list",
 ]

@@ -94,13 +94,11 @@ def publisher_scores(
     of, independent of the strategy that produced their value. Voters without
     a defined value are ignored; publishers nobody votes on are omitted.
     """
-    by_user = corpus.user_urls()
     votes: dict[str, list[float]] = defaultdict(list)
     for voter in voters:
         if voter.value is None:
             continue
-        touched = {corpus.url_publisher[url] for url in by_user.get(voter.user_id, ())}
-        for publisher in touched:
+        for publisher in corpus.user_publishers.get(voter.user_id, ()):
             votes[publisher].append(voter.value)
     return [
         PublisherScore(
@@ -117,11 +115,7 @@ def coverage(
     voters: list[VoterProfile], corpus: Corpus, kb: KnowledgeBase
 ) -> CoverageReport:
     """Publisher coverage of the voter set, against the corpus universe."""
-    voter_ids = {v.user_id for v in voters}
-    reached: set[str] = set()
-    for user, _, publisher in corpus.interactions:
-        if user in voter_ids:
-            reached.add(publisher)
+    reached = set().union(*(corpus.user_publishers.get(v.user_id, ()) for v in voters))
     covered = {level: 0 for level in Label}
     universe = {level: 0 for level in Label}
     for publisher in corpus.publishers:

@@ -15,6 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 from urllib.parse import urlsplit
@@ -68,13 +69,19 @@ class KnowledgeBase:
         return domain in self.scores
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
     """Deduplicated user-URL-publisher interactions plus raw share events.
 
     ``interactions`` is a set of (user_id, url, publisher) triples, one per
     distinct (user, url) pair. ``share_events`` keeps post multiplicity for
-    auditing: a list of (user_id, url, post_id).
+    auditing: a list of (user_id, url, post_id). Nothing changes a corpus
+    once it is built, so each grouping below is derived once, on first use:
+
+    * ``users``, ``articles`` and ``publishers``: the distinct ids;
+    * ``user_urls``: user -> the URLs they shared;
+    * ``user_publishers``: user -> the publishers they shared; its size is
+      the user's information diet.
     """
 
     interactions: set[tuple[str, str, str]]
@@ -82,27 +89,32 @@ class Corpus:
     url_publisher: dict[str, str]
     skipped_urls: int = 0
 
-    @property
-    def users(self) -> set[str]:
-        return {u for u, _, _ in self.interactions}
+    @cached_property
+    def users(self) -> frozenset[str]:
+        return frozenset(u for u, _, _ in self.interactions)
 
-    @property
-    def articles(self) -> set[str]:
-        return set(self.url_publisher)
+    @cached_property
+    def articles(self) -> frozenset[str]:
+        return frozenset(self.url_publisher)
 
-    @property
-    def publishers(self) -> set[str]:
-        return set(self.url_publisher.values())
+    @cached_property
+    def publishers(self) -> frozenset[str]:
+        return frozenset(self.url_publisher.values())
 
-    def urls_of_user(self, user_id: str) -> set[str]:
-        return {url for u, url, _ in self.interactions if u == user_id}
+    @cached_property
+    def user_urls(self) -> dict[str, frozenset[str]]:
+        return _group((user, url) for user, url, _ in self.interactions)
 
-    def user_urls(self) -> dict[str, set[str]]:
-        """All interactions grouped by user."""
-        by_user: dict[str, set[str]] = {}
-        for user, url, _ in self.interactions:
-            by_user.setdefault(user, set()).add(url)
-        return by_user
+    @cached_property
+    def user_publishers(self) -> dict[str, frozenset[str]]:
+        return _group((user, pub) for user, _, pub in self.interactions)
+
+
+def _group(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    groups: dict[str, set[str]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, set()).add(value)
+    return {key: frozenset(values) for key, values in groups.items()}
 
 
 def extract_domain(url: str) -> str | None:
@@ -270,7 +282,3 @@ def load_knowledge_base(path: str | Path) -> KnowledgeBase:
         log.warning("%s: domain %s appeared %d extra times; last row wins", path, domain, n)
     return kb
 
-
-def url_labels(corpus: Corpus, kb: KnowledgeBase) -> dict[str, Label]:
-    """Trust label of every corpus article, inherited from its publisher."""
-    return {url: kb.label(pub) for url, pub in corpus.url_publisher.items()}

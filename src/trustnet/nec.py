@@ -8,27 +8,41 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .ingest import Corpus, KnowledgeBase, Label, url_labels
+from .ingest import Corpus, KnowledgeBase, Label
 from .projection import ValidatedNetwork
 
 UNCLUSTERED = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
-    """URL -> community id; -1 marks URLs outside every community."""
+    """URL -> community id; -1 marks URLs outside every community.
+
+    Nothing changes a partition once it is built, so ``groups`` (community
+    id -> its URLs, the -1 bucket included) is derived once, on first use;
+    ``members`` and ``community_ids`` read it.
+    """
 
     assignment: dict[str, int]
     modularity: float
     pass_modularities: list[float] = field(default_factory=list)
 
-    def members(self, community: int) -> set[str]:
-        return {u for u, c in self.assignment.items() if c == community}
+    @cached_property
+    def groups(self) -> dict[int, frozenset[str]]:
+        urls_of: dict[int, set[str]] = defaultdict(set)
+        for u, c in self.assignment.items():
+            urls_of[c].add(u)
+        return {c: frozenset(urls) for c, urls in urls_of.items()}
+
+    def members(self, community: int) -> frozenset[str]:
+        return self.groups.get(community, frozenset())
 
     def community_ids(self) -> list[int]:
-        return sorted({c for c in self.assignment.values() if c != UNCLUSTERED})
+        return sorted(c for c in self.groups if c != UNCLUSTERED)
 
 
 @dataclass(frozen=True)
@@ -262,47 +276,36 @@ def purity(
     members = partition.members(community)
     if not members:
         raise ValueError(f"community {community} does not exist")
-    labels = url_labels(corpus, kb)
-    hits = sum(1 for u in members if labels.get(u) == level)
-    return hits / len(members)
+    return _label_share(members, corpus, kb, level)
 
 
 def overall_purity(
     partition: Partition, corpus: Corpus, kb: KnowledgeBase, level: Label
 ) -> float:
     """Pooled label share over all non-reserved communities."""
-    labels = url_labels(corpus, kb)
-    total = 0
-    hits = 0
-    for u, c in partition.assignment.items():
-        if c == UNCLUSTERED:
-            continue
-        total += 1
-        if labels.get(u) == level:
-            hits += 1
-    if total == 0:
+    members = [u for c in partition.community_ids() for u in partition.members(c)]
+    if not members:
         raise ValueError("partition has no communities")
-    return hits / total
+    return _label_share(members, corpus, kb, level)
 
 
 def unclustered_purity(
     partition: Partition, corpus: Corpus, kb: KnowledgeBase, level: Label
 ) -> float:
     """Label share within the reserved -1 bucket."""
-    labels = url_labels(corpus, kb)
-    members = [u for u, c in partition.assignment.items() if c == UNCLUSTERED]
+    members = partition.members(UNCLUSTERED)
     if not members:
         raise ValueError("no unclustered URLs")
-    hits = sum(1 for u in members if labels.get(u) == level)
-    return hits / len(members)
+    return _label_share(members, corpus, kb, level)
+
+
+def _label_share(urls: Collection[str], corpus: Corpus, kb: KnowledgeBase, level: Label) -> float:
+    """Share of ``urls`` whose publisher carries ``level``."""
+    return sum(1 for u in urls if kb.label(corpus.url_publisher[u]) == level) / len(urls)
 
 
 def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
     """Per-community engagement statistics, largest user base first."""
-    urls_of: dict[int, set[str]] = defaultdict(set)
-    for u, c in partition.assignment.items():
-        if c != UNCLUSTERED:
-            urls_of[c].add(u)
     users_of: dict[int, set[str]] = defaultdict(set)
     url_comm = {
         u: c for u, c in partition.assignment.items() if c != UNCLUSTERED
@@ -320,11 +323,11 @@ def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
         NecRow(
             community=c,
             n_users=len(users_of[c]),
-            n_distinct_urls=len(urls),
-            n_publishers=len({corpus.url_publisher[u] for u in urls}),
+            n_distinct_urls=len(partition.members(c)),
+            n_publishers=len({corpus.url_publisher[u] for u in partition.members(c)}),
             n_shares=shares_of[c],
         )
-        for c, urls in urls_of.items()
+        for c in partition.community_ids()
     ]
     rows.sort(key=lambda r: (-r.n_users, r.community))
     return rows

@@ -26,7 +26,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -69,7 +69,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
-        """Config from a JSON file (defaults if ``path`` is None); non-None overrides win."""
+        """Config from a JSON file (defaults if ``path`` is None); non-None overrides win.
+
+        A setting no run can use is a ValueError that names its key.
+        """
         data = {}
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
@@ -85,7 +88,16 @@ class PipelineConfig:
         data.update({k: v for k, v in overrides.items() if v is not None})
         if "strategies" in data:
             data["strategies"] = tuple(data["strategies"])
-        return cls(**data)
+        config = cls(**data)
+        known = tuple(k.value for k in ALL_STRATEGIES)
+        for key, ok, rule in (
+            ("strategies", set(config.strategies) <= set(known), f"must be among {known}"),
+            ("cv_folds", config.cv_folds >= 2, "must be >= 2"),
+            ("theta_min", 0 <= config.theta_min <= config.theta_max, "must lie in [0, theta_max]"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(config, key)!r}")
+        return config
 
     def thetas(self) -> range:
         return range(self.theta_min, self.theta_max + 1)
@@ -286,6 +298,9 @@ def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph) -> projection.Va
 # ---------------------------------------------------------------------------
 # nec stage
 
+NEC_SUMMARY_HEADER = tuple(f.name for f in fields(nec.NecRow))
+
+
 def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     if cached is not None:
         return load_partition(stage_dir), cached
@@ -293,45 +308,30 @@ def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: d
     partition = nec.louvain(upstream["projection"], seed=config.louvain_seed)
     write_csv(stage_dir / "partition.csv", ["url", "community"],
               sorted(partition.assignment.items()))
-    rows = nec.nec_summary(partition, corpus)
-    write_csv(
-        stage_dir / "nec_summary.csv",
-        ["community", "n_users", "n_distinct_urls", "n_publishers", "n_shares"],
-        [(r.community, r.n_users, r.n_distinct_urls, r.n_publishers, r.n_shares) for r in rows],
-    )
-    purity_rows = []
-    for c in partition.community_ids():
-        purity_rows.append(
-            (
-                str(c),
-                nec.purity(partition, c, corpus, kb, Label.T),
-                nec.purity(partition, c, corpus, kb, Label.N),
-            )
-        )
+    write_csv(stage_dir / "nec_summary.csv", NEC_SUMMARY_HEADER,
+              [astuple(r) for r in nec.nec_summary(partition, corpus)])
+    levels = (Label.T, Label.N)
+    purity_rows = [(str(c), *(nec.purity(partition, c, corpus, kb, l) for l in levels))
+                   for c in partition.community_ids()]
     if partition.community_ids():
         purity_rows.append(
-            (
-                "overall",
-                nec.overall_purity(partition, corpus, kb, Label.T),
-                nec.overall_purity(partition, corpus, kb, Label.N),
-            )
-        )
-    if any(c == nec.UNCLUSTERED for c in partition.assignment.values()):
+            ("overall", *(nec.overall_purity(partition, corpus, kb, l) for l in levels)))
+    if partition.members(nec.UNCLUSTERED):
         purity_rows.append(
-            (
-                "unclustered",
-                nec.unclustered_purity(partition, corpus, kb, Label.T),
-                nec.unclustered_purity(partition, corpus, kb, Label.N),
-            )
-        )
+            ("unclustered", *(nec.unclustered_purity(partition, corpus, kb, l) for l in levels)))
     write_csv(stage_dir / "purity.csv", ["community", "purity_T", "purity_N"], purity_rows)
     return partition, {
         "modularity": partition.modularity,
         "pass_modularities": partition.pass_modularities,
         "n_communities": len(partition.community_ids()),
-        "n_unclustered": sum(1 for c in partition.assignment.values() if c == nec.UNCLUSTERED),
+        "n_unclustered": len(partition.members(nec.UNCLUSTERED)),
         "louvain_seed": config.louvain_seed,
     }
+
+
+def load_nec_summary(stage_dir: Path) -> list[dict[str, int]]:
+    return [dict(zip(NEC_SUMMARY_HEADER, map(int, row)))
+            for row in read_csv(stage_dir / "nec_summary.csv")]
 
 
 def load_partition(stage_dir: Path) -> nec.Partition:
@@ -394,18 +394,19 @@ class SweepPoint:
 
 def _knowledge_needed(
     kind: StrategyKind,
-    surviving: list[VoterProfile],
+    cov: classify.CoverageReport,
     corpus: Corpus,
     network: projection.ValidatedNetwork,
     kb: KnowledgeBase,
 ) -> int:
-    """Distinct labeled publishers required to characterize the voter set."""
-    if kind is StrategyKind.DS_URL_NEC:
-        pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
-    else:
-        pubs = set()
-        for v in surviving:
-            pubs.update(corpus.url_publisher[u] for u in v.articles)
+    """Distinct labeled publishers required to characterize the voter set.
+
+    Every strategy but DS-URL-NEC characterizes a voter by everything they
+    shared, so its knowledge is the labeled publishers its voters cover.
+    """
+    if kind is not StrategyKind.DS_URL_NEC:
+        return cov.covered[Label.T] + cov.covered[Label.N]
+    pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
     return sum(1 for p in pubs if kb.label(p) is not Label.UNC)
 
 
@@ -444,7 +445,7 @@ def compute_sweep(
                     covered={l.value: cov.covered[l] for l in Label},
                     balanced_accuracy_mean=mean,
                     balanced_accuracy_std=std,
-                    knowledge=_knowledge_needed(kind, surviving, corpus, network, kb),
+                    knowledge=_knowledge_needed(kind, cov, corpus, network, kb),
                 )
             )
     return points
@@ -575,21 +576,14 @@ def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cach
 
 def stage_figures(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     (corpus, kb), partition, (_, sweep) = upstream["ingest"], upstream["nec"], upstream["classify"]
-    purity_rows = []
-    for c in partition.community_ids():
-        members = partition.members(c)
-        purity_rows.append(
-            (
-                c,
-                len(members),
-                nec.purity(partition, c, corpus, kb, Label.T),
-                nec.purity(partition, c, corpus, kb, Label.N),
-            )
-        )
     write_csv(
         stage_dir / "fig_nec_purity.csv",
         ["community", "n_urls", "purity_T", "purity_N"],
-        purity_rows,
+        [
+            (c, len(partition.members(c)),
+             *(nec.purity(partition, c, corpus, kb, l) for l in (Label.T, Label.N)))
+            for c in partition.community_ids()
+        ],
     )
     write_csv(
         stage_dir / "fig_voters_vs_theta.csv",
@@ -808,16 +802,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "nec": {
             "modularity": partition.modularity,
             "n_communities": len(partition.community_ids()),
-            "summary": [
-                {
-                    "community": r.community,
-                    "n_users": r.n_users,
-                    "n_distinct_urls": r.n_distinct_urls,
-                    "n_publishers": r.n_publishers,
-                    "n_shares": r.n_shares,
-                }
-                for r in nec.nec_summary(partition, corpus)
-            ],
+            "summary": load_nec_summary(out / "nec"),
         },
         "classify": results,
     }

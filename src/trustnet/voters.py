@@ -46,7 +46,7 @@ def select_voters(
     if strategy in (StrategyKind.DS_URL_NEC, StrategyKind.DS_ALL):
         return ds
     if strategy is StrategyKind.DS_ALL_WO_USR_NEC:
-        return corpus.users - ds
+        return set(corpus.users - ds)
     return set(corpus.users)
 
 
@@ -57,7 +57,7 @@ def article_set(
     validated: ValidatedNetwork,
 ) -> set[str]:
     """Articles feeding the voter's characterization under the strategy."""
-    shared = corpus.urls_of_user(voter)
+    shared = set(corpus.user_urls.get(voter, ()))
     if strategy is StrategyKind.DS_URL_NEC:
         return shared & validated.validated_urls()
     return shared
@@ -90,14 +90,6 @@ def _mean_score(articles: set[str], corpus: Corpus, kb: KnowledgeBase) -> float 
     return sum(scores) / len(scores)
 
 
-def information_diet(corpus: Corpus) -> dict[str, int]:
-    """Distinct publishers shared per user, over the whole corpus."""
-    pubs: dict[str, set[str]] = {}
-    for user, _, publisher in corpus.interactions:
-        pubs.setdefault(user, set()).add(publisher)
-    return {user: len(p) for user, p in pubs.items()}
-
-
 def build_voter_profiles(
     strategy: StrategyKind,
     corpus: Corpus,
@@ -108,14 +100,13 @@ def build_voter_profiles(
 
     Voters whose article set is empty are dropped; voters whose articles are
     all unclassified keep a profile with value None (they are excluded again
-    before classification).
+    before classification). A voter's diet counts the distinct publishers
+    they shared over the whole corpus.
     """
-    diets = information_diet(corpus)
-    by_user = corpus.user_urls()
     a_val = validated.validated_urls() if strategy is StrategyKind.DS_URL_NEC else None
     profiles = []
     for user in sorted(select_voters(strategy, corpus, validated)):
-        shared = by_user.get(user, set())
+        shared = corpus.user_urls[user]
         articles = shared & a_val if a_val is not None else shared
         if not articles:
             continue
@@ -123,9 +114,9 @@ def build_voter_profiles(
             VoterProfile(
                 user_id=user,
                 strategy=strategy,
-                articles=frozenset(articles),
+                articles=articles,
                 value=_mean_score(articles, corpus, kb),
-                diet=diets.get(user, 0),
+                diet=len(corpus.user_publishers[user]),
             )
         )
     return profiles

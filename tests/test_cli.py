@@ -119,8 +119,16 @@ def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
         ('{"resolution": 1.0}', "resolution"),
         ("{not json", "config.json"),
         (None, "config.json"),
+        ('{"cv_folds": 0}', "cv_folds"),
+        ('{"cv_folds": 1}', "cv_folds"),
+        ('{"theta_min": -1}', "theta_min"),
+        ('{"theta_min": 5}', "theta_min"),  # above base_args' --theta-max 3
+        ('{"strategies": ["BOGUS"]}', "strategies"),
     ],
-    ids=["unknown-key", "removed-key", "malformed-json", "missing-file"],
+    ids=[
+        "unknown-key", "removed-key", "malformed-json", "missing-file", "zero-folds",
+        "one-fold", "negative-theta-min", "theta-min-above-max", "unknown-strategy",
+    ],
 )
 def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):
     cfg = tmp_path / "config.json"
@@ -131,6 +139,13 @@ def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, con
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+def test_unrunnable_flag_is_usage_error(synth_inputs, tmp_path, capsys):
+    code = main(["run", *base_args(synth_inputs, tmp_path / "out"), "--cv-folds", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cv_folds")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_inputs_is_usage_error(tmp_path, capsys):

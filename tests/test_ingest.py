@@ -1,19 +1,22 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.ingest import (
     DEFAULT_INCLUDE_KINDS,
     KnowledgeBaseError,
     Label,
+    POST_KINDS,
     RawPost,
     build_corpus,
     canonical_url,
     extract_domain,
     load_knowledge_base,
     load_posts,
-    url_labels,
 )
 
 
@@ -207,5 +210,52 @@ class TestKnowledgeBase:
         corpus = build_corpus(posts)
         labels = {kb.label(p) for p in corpus.publishers}
         assert labels <= {Label.T, Label.N, Label.UNC}
-        by_url = url_labels(corpus, kb)
-        assert set(by_url) == corpus.articles
+
+
+# hosts that normalize alike, a port, a query, a fragment and an unparseable URL
+GROUPING_URLS = [
+    "https://a.com/1",
+    "https://www.a.com/1",
+    "http://a.com/1?x=1",
+    "https://b.com/2#f",
+    "https://B.com:8080/2",
+    "https://c.org/x/y",
+    "https://d.net/",
+    "not a url",
+]
+
+
+class TestCorpusGroupings:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u2", "u3"]),
+                st.lists(st.sampled_from(GROUPING_URLS), max_size=4),
+                st.sampled_from(POST_KINDS),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_groupings_equal_a_regroup_of_interactions(self, rows):
+        posts = [
+            RawPost(f"p{i}", user, 0.0, tuple(urls), kind)
+            for i, (user, urls, kind) in enumerate(rows)
+        ]
+        corpus = build_corpus(posts)
+        triples = corpus.interactions
+        users = {u for u, _, _ in triples}
+        assert corpus.users == users
+        assert corpus.articles == {url for _, url, _ in triples}
+        assert corpus.publishers == {p for _, _, p in triples}
+        assert corpus.user_urls == {
+            u: {url for v, url, _ in triples if v == u} for u in users
+        }
+        assert corpus.user_publishers == {
+            u: {p for v, _, p in triples if v == u} for u in users
+        }
+
+    def test_corpus_is_frozen(self):
+        corpus = build_corpus([RawPost("p1", "u1", 0.0, ("https://a.com/x",), "original")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.url_publisher = {}

