@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -141,39 +142,40 @@ def fit_stump(samples: list[tuple[float, Label]]) -> Stump:
         raise ValueError("samples must be labeled T or N")
     if len(labels) < 2:
         raise ValueError("both classes must be present")
-    scores = sorted({s for s, _ in samples})
-    if len(scores) == 1:
-        n_t = sum(1 for _, l in samples if l is Label.T)
-        return Stump(threshold=scores[0], high_is_trustworthy=n_t * 2 >= len(samples))
-    candidates = [(a + b) / 2.0 for a, b in zip(scores, scores[1:])]
-    best_t = None
-    best_gini = float("inf")
+    ordered = sorted(samples, key=lambda sample: sample[0])
+    keys = [s for s, _ in ordered]
+    # t_below[k]: T labels among the k lowest scores
+    t_below = [0]
+    for _, label in ordered:
+        t_below.append(t_below[-1] + (label is Label.T))
     n = len(samples)
-    for t in candidates:
-        left = [l for s, l in samples if s < t]
-        right = [l for s, l in samples if s >= t]
-        gini = (len(left) * _gini(left) + len(right) * _gini(right)) / n
+    n_t = t_below[-1]
+    scores = sorted(set(keys))
+    if len(scores) == 1:
+        return Stump(threshold=scores[0], high_is_trustworthy=n_t * 2 >= n)
+    best_t, best_k, best_gini = None, 0, float("inf")
+    for a, b in zip(scores, scores[1:]):
+        t = (a + b) / 2.0
+        k = bisect_left(keys, t)  # the samples with score < t
+        gini = (k * _gini(t_below[k], k) + (n - k) * _gini(n_t - t_below[k], n - k)) / n
         if gini < best_gini - 1e-12:
-            best_gini = gini
-            best_t = t
+            best_gini, best_t, best_k = gini, t, k
     assert best_t is not None
-    right = [l for s, l in samples if s >= best_t]
-    left = [l for s, l in samples if s < best_t]
-    high_t = sum(1 for l in right if l is Label.T)
-    high_n = len(right) - high_t
+    high_t = n_t - t_below[best_k]
+    high_n = n - best_k - high_t
     if high_t != high_n:
         high_is_t = high_t > high_n
     else:
         # right side tied: let the left side's majority decide the other pole
-        left_t = sum(1 for l in left if l is Label.T)
-        high_is_t = left_t * 2 <= len(left)
+        high_is_t = t_below[best_k] * 2 <= best_k
     return Stump(threshold=best_t, high_is_trustworthy=high_is_t)
 
 
-def _gini(labels: list[Label]) -> float:
-    if not labels:
+def _gini(n_t: int, n: int) -> float:
+    """Gini impurity of ``n`` labels of which ``n_t`` are T."""
+    if not n:
         return 0.0
-    f_t = sum(1 for l in labels if l is Label.T) / len(labels)
+    f_t = n_t / n
     return 1.0 - f_t * f_t - (1.0 - f_t) * (1.0 - f_t)
 
 

@@ -15,9 +15,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
 log = logging.getLogger(__name__)
@@ -117,11 +117,12 @@ def _group(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
     return {key: frozenset(values) for key, values in groups.items()}
 
 
-def extract_domain(url: str) -> str | None:
-    """Publisher domain of an absolute URL, or None if the URL has no host.
+def _url_parts(url: str) -> tuple[str, str] | None:
+    """(canonical URL, publisher domain) of an absolute URL, or None if it has no host.
 
-    Lowercases the host, strips one leading ``www.`` and any port; the rest
-    of the host is kept in full.
+    The one place a URL is split. The domain is the lowercased host without port,
+    surrounding dots and one leading ``www.``. The canonical URL is scheme +
+    domain + path: query string, fragment, userinfo and port are dropped.
     """
     try:
         parts = urlsplit(url)
@@ -133,24 +134,24 @@ def extract_domain(url: str) -> str | None:
     host = host.lower().strip(".")
     if host.startswith("www."):
         host = host[len("www."):]
-    return host or None
+    if not host:
+        return None
+    return f"{parts.scheme.lower()}://{host}{parts.path}", host
+
+
+def extract_domain(url: str) -> str | None:
+    """Publisher domain of an absolute URL, or None if the URL has no host."""
+    parts = _url_parts(url)
+    return parts[1] if parts else None
 
 
 def canonical_url(url: str) -> str | None:
-    """Canonical article identity: scheme + normalized host + path.
-
-    Query string, fragment and port are dropped; the host is normalized
-    exactly like :func:`extract_domain`.
-    """
-    domain = extract_domain(url)
-    if domain is None:
-        return None
-    path = urlsplit(url).path
-    scheme = urlsplit(url).scheme.lower()
-    return f"{scheme}://{domain}{path}"
+    """Canonical article identity: scheme + normalized host + path, or None."""
+    parts = _url_parts(url)
+    return parts[0] if parts else None
 
 
-def _parse_post(obj: object) -> RawPost | None:
+def _parse_post(obj: object, url_parts: Callable[[str], tuple | None]) -> RawPost | None:
     if not isinstance(obj, dict):
         return None
     post_id = obj.get("post_id")
@@ -170,7 +171,7 @@ def _parse_post(obj: object) -> RawPost | None:
         return None
     # URLs that do not parse as scheme+host are dropped here so every
     # retained RawPost satisfies the parseability invariant.
-    kept = tuple(u for u in urls if extract_domain(u) is not None)
+    kept = tuple(u for u in urls if url_parts(u) is not None)
     return RawPost(post_id, user_id, float(timestamp), kept, kind)
 
 
@@ -182,6 +183,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     unreadable file raises OSError.
     """
     posts: list[RawPost] = []
+    url_parts = cache(_url_parts)  # one split per distinct raw URL
     seen_ids: set[str] = set()
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -195,7 +197,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 malformed += 1
                 log.warning("%s:%d: unparseable record skipped", path, lineno)
                 continue
-            post = _parse_post(obj)
+            post = _parse_post(obj, url_parts)
             if post is None or post.post_id in seen_ids:
                 malformed += 1
                 log.warning("%s:%d: malformed or duplicate record skipped", path, lineno)
@@ -217,15 +219,16 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     share_events: list[tuple[str, str, str]] = []
     url_publisher: dict[str, str] = {}
     skipped = 0
+    url_parts = cache(_url_parts)  # one split per distinct raw URL
     for post in posts:
         if post.kind not in DEFAULT_INCLUDE_KINDS:
             continue
         for raw_url in post.urls:
-            url = canonical_url(raw_url)
-            domain = extract_domain(raw_url)
-            if url is None or domain is None:
+            parts = url_parts(raw_url)
+            if parts is None:
                 skipped += 1
                 continue
+            url, domain = parts
             url_publisher[url] = domain
             interactions.add((post.user_id, url, domain))
             share_events.append((post.user_id, url, post.post_id))

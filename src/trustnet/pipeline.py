@@ -94,6 +94,9 @@ class PipelineConfig:
             ("strategies", set(config.strategies) <= set(known), f"must be among {known}"),
             ("cv_folds", config.cv_folds >= 2, "must be >= 2"),
             ("theta_min", 0 <= config.theta_min <= config.theta_max, "must lie in [0, theta_max]"),
+            ("alpha", 0 < config.alpha < 1, "must lie in (0, 1)"),
+            ("solver_tol", config.solver_tol > 0, "must be positive"),
+            ("solver_max_iter", config.solver_max_iter >= 1, "must be >= 1"),
         ):
             if not ok:
                 raise ValueError(f"{key} {rule}, got {getattr(config, key)!r}")
@@ -120,24 +123,16 @@ def _hash_obj(obj) -> str:
     ).hexdigest()
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # plain-float repr; numpy scalars would otherwise leak their type name
-        return repr(float(value))
-    if isinstance(value, Label):
-        return value.value
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Header, then rows; ``csv.writer``'s own cell formatting is the artifact format.
+
+    A float cell (numpy's float64 too) is its ``float.__repr__``; ``None`` is an empty cell.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -669,16 +664,21 @@ STAGES = (
 )
 
 
-def stage_hashes(config: PipelineConfig) -> dict[str, str]:
-    """Per stage, the hash of its tag, its settings and the hashes of the stages it reads.
-
-    Ingest hashes the input files' content. An unreadable input file is an
-    ingest failure: ingest is the stage that reads it.
-    """
+def _input_hashes(config: PipelineConfig) -> list[str]:
+    """SHA-256 of both input files; an unreadable one fails ingest, the stage that reads it."""
     try:
-        inputs = [_sha256_file(config.posts), _sha256_file(config.knowledge_base)]
+        return [_sha256_file(config.posts), _sha256_file(config.knowledge_base)]
     except OSError as exc:
         raise StageError("ingest", exc) from exc
+
+
+def stage_hashes(config: PipelineConfig, inputs: list[str] | None = None) -> dict[str, str]:
+    """Per stage, the hash of its tag, its settings and the hashes of the stages it reads.
+
+    Ingest hashes the input files' content: ``inputs`` when the caller has
+    already hashed them, otherwise ``_input_hashes(config)``.
+    """
+    inputs = inputs or _input_hashes(config)
     h: dict[str, str] = {}
     for stage in STAGES:
         h[stage.name] = _hash_obj({
@@ -722,9 +722,10 @@ def _run_stage(stage: Stage, config: PipelineConfig, values: dict,
     return value, meta
 
 
-def run_stages(config: PipelineConfig, target: str) -> tuple[dict, dict, dict]:
+def run_stages(config: PipelineConfig, target: str,
+               inputs: list[str] | None = None) -> tuple[dict, dict, dict]:
     """Run ``target`` and every stage it reads, in table order; (values, metas, hashes)."""
-    hashes = stage_hashes(config)
+    hashes = stage_hashes(config, inputs)
     needed = {target}
     for stage in reversed(STAGES):
         if stage.name in needed:
@@ -772,7 +773,8 @@ class PipelineResult:
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage in order, persisting artifacts under out_dir."""
-    values, metas, hashes = run_stages(config, "figures")
+    inputs = _input_hashes(config)
+    values, metas, hashes = run_stages(config, "figures", inputs)
     (corpus, kb), (graph, model) = values["ingest"], values["bicm"]
     network, partition, profiles = values["projection"], values["nec"], values["voters"]
     results, _ = values["classify"]
@@ -785,8 +787,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     report = {
         "config": config_echo,
         "inputs": {
-            "posts_sha256": _sha256_file(config.posts),
-            "knowledge_base_sha256": _sha256_file(config.knowledge_base),
+            "posts_sha256": inputs[0],
+            "knowledge_base_sha256": inputs[1],
         },
         "stage_hashes": hashes,
         "ingest": {k: v for k, v in metas["ingest"].items() if k != "config_hash"},

@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.classify import (
     FoldResult,
+    Stump,
     coverage,
     fit_stump,
     publisher_scores,
@@ -204,6 +208,80 @@ class TestFitStump:
         stump_t = fit_stump([(transform(s), l) for s, l in samples])
         for s, _ in samples:
             assert stump.predict(s) == stump_t.predict(transform(s))
+
+
+def quadratic_fit_stump(samples):
+    """The rescan-every-sample fit that ``fit_stump`` replaced, kept as its oracle."""
+    scores = sorted({s for s, _ in samples})
+    if len(scores) == 1:
+        n_t = sum(1 for _, l in samples if l is Label.T)
+        return Stump(threshold=scores[0], high_is_trustworthy=n_t * 2 >= len(samples))
+
+    def gini(labels):
+        if not labels:
+            return 0.0
+        f_t = sum(1 for l in labels if l is Label.T) / len(labels)
+        return 1.0 - f_t * f_t - (1.0 - f_t) * (1.0 - f_t)
+
+    best_t, best_gini, n = None, float("inf"), len(samples)
+    for t in [(a + b) / 2.0 for a, b in zip(scores, scores[1:])]:
+        left = [l for s, l in samples if s < t]
+        right = [l for s, l in samples if s >= t]
+        g = (len(left) * gini(left) + len(right) * gini(right)) / n
+        if g < best_gini - 1e-12:
+            best_gini, best_t = g, t
+    right = [l for s, l in samples if s >= best_t]
+    left = [l for s, l in samples if s < best_t]
+    high_t = sum(1 for l in right if l is Label.T)
+    high_n = len(right) - high_t
+    if high_t != high_n:
+        high_is_t = high_t > high_n
+    else:
+        high_is_t = sum(1 for l in left if l is Label.T) * 2 <= len(left)
+    return Stump(threshold=best_t, high_is_trustworthy=high_is_t)
+
+
+def _neighbours(base):
+    """Consecutive floats: the midpoint of two of them rounds onto one of them."""
+    out = [base]
+    for _ in range(3):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+# few distinct scores (heavy ties), a single one, float neighbours, and wide ranges
+_scores = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from(_neighbours(1.0) + _neighbours(-3.5) + _neighbours(1e300)),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestFitStumpOracle:
+    @given(
+        st.lists(st.tuples(_scores, st.sampled_from([Label.T, Label.N])), min_size=2, max_size=60)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_quadratic_scan(self, samples):
+        if len({l for _, l in samples}) < 2:
+            samples = samples + [(samples[0][0], Label.T), (samples[-1][0], Label.N)]
+        assert fit_stump(samples) == quadratic_fit_stump(samples)
+
+    @pytest.mark.parametrize("score", [0.0, 7.5, _neighbours(2.0)[1]])
+    @pytest.mark.parametrize("n_t, n_n", [(3, 1), (1, 3), (2, 2)])
+    def test_single_distinct_score(self, score, n_t, n_n):
+        samples = [(score, Label.T)] * n_t + [(score, Label.N)] * n_n
+        assert fit_stump(samples) == quadratic_fit_stump(samples)
+
+    @pytest.mark.parametrize("high", [Label.T, Label.N])
+    def test_both_polarities_on_neighbours(self, high):
+        a, b, c, d = _neighbours(1.0)
+        low = Label.N if high is Label.T else Label.T
+        samples = [(a, low), (b, low), (c, high), (d, high), (b, high)]
+        stump = fit_stump(samples)
+        assert stump == quadratic_fit_stump(samples)
+        assert stump.high_is_trustworthy is (high is Label.T)
 
 
 class TestStratifiedCv:

@@ -124,10 +124,16 @@ def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
         ('{"theta_min": -1}', "theta_min"),
         ('{"theta_min": 5}', "theta_min"),  # above base_args' --theta-max 3
         ('{"strategies": ["BOGUS"]}', "strategies"),
+        ('{"alpha": 2}', "alpha"),
+        ('{"alpha": 0}', "alpha"),
+        ('{"alpha": -1}', "alpha"),
+        ('{"solver_tol": 0}', "solver_tol"),
+        ('{"solver_max_iter": 0}', "solver_max_iter"),
     ],
     ids=[
         "unknown-key", "removed-key", "malformed-json", "missing-file", "zero-folds",
         "one-fold", "negative-theta-min", "theta-min-above-max", "unknown-strategy",
+        "alpha-above-one", "zero-alpha", "negative-alpha", "zero-tol", "zero-max-iter",
     ],
 )
 def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):
@@ -139,6 +145,7 @@ def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, con
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+    assert not (tmp_path / "out").exists()  # refused before any stage ran
 
 
 def test_unrunnable_flag_is_usage_error(synth_inputs, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import random
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustnet import ingest
 from trustnet.ingest import (
     DEFAULT_INCLUDE_KINDS,
     KnowledgeBaseError,
@@ -98,6 +100,78 @@ class TestExtractDomain:
     def test_canonical_url(self):
         assert canonical_url("https://WWW.Example.com:443/a/b?q=1#frag") == "https://example.com/a/b"
         assert canonical_url("notaurl") is None
+
+
+def three_split_domain(url):
+    """``extract_domain`` as it was before URLs were split once, kept as its oracle."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return None
+    host = parts.hostname
+    if not parts.scheme or not host:
+        return None
+    host = host.lower().strip(".")
+    if host.startswith("www."):
+        host = host[len("www."):]
+    return host or None
+
+
+def three_split_canonical(url):
+    domain = three_split_domain(url)
+    if domain is None:
+        return None
+    return f"{urlsplit(url).scheme.lower()}://{domain}{urlsplit(url).path}"
+
+
+# the spellings the longtail benchmark corpus and real shares use
+_url = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["https://", "http://", "HTTPS://", "mailto:", "", "ftp://"]),
+        st.sampled_from(["", "user@", "user:pw@"]),
+        st.sampled_from(["", "www.", "WWW.", "www.www."]),
+        st.sampled_from(["example.com", "News.Site.ORG", "a.co.uk", "[bad-host", "", "."]),
+        st.sampled_from(["", ".", ".."]),
+        st.sampled_from(["", ":443", ":8080", ":"]),
+        st.sampled_from(["", "/", "/a/b", "/Story-1", "/x/"]),
+        st.sampled_from(["", "?q=1", "?utm=a&b=2"]),
+        st.sampled_from(["", "#frag", "#"]),
+    ),
+)
+
+
+class TestUrlPartsOracle:
+    @given(_url)
+    @settings(max_examples=400, deadline=None)
+    def test_views_equal_three_split_versions(self, url):
+        assert extract_domain(url) == three_split_domain(url)
+        assert canonical_url(url) == three_split_canonical(url)
+
+    @pytest.mark.parametrize("url", [
+        "http://[bad-host/x", "mailto:a@b.com", "example.com/x", "", "https://./p",
+        "https://user:pw@WWW.Example.com.:443/a?q=1#f",
+    ])
+    def test_edge_spellings(self, url):
+        assert extract_domain(url) == three_split_domain(url)
+        assert canonical_url(url) == three_split_canonical(url)
+
+    def test_each_raw_url_is_split_once_per_pass(self, tmp_path, monkeypatch):
+        raw = ["https://www.a.com/x?q=1", "http://B.org:443/y#f", "notaurl"]
+        write_posts(tmp_path / "posts.jsonl", [
+            _post(f"p{i}", f"u{i % 7}", [raw[i % 3], raw[(i + 1) % 3]]) for i in range(50)
+        ])
+        calls = []
+
+        def counting(url, *args, **kwargs):
+            calls.append(url)
+            return urlsplit(url, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "urlsplit", counting)
+        posts, _ = load_posts(tmp_path / "posts.jsonl")
+        corpus = build_corpus(posts)
+        assert len(calls) <= 6  # 3 distinct raw URLs, two passes
+        assert corpus.articles == {"https://a.com/x", "http://b.org/y"}
 
 
 class TestBuildCorpus:

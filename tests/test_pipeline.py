@@ -1,11 +1,16 @@
+import csv
 import dataclasses
+import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trustnet import pipeline
+from trustnet.ingest import Label
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
@@ -51,6 +56,47 @@ STAGE_FILES = {
     "classify": ["meta.json", "coverage.csv", "sweep.csv"],
     "figures": ["meta.json", *pipeline.FIGURE_FILES],
 }
+
+
+#: SHA-256 of each stage directory of the ``run`` fixture, keyed by (stage, tag),
+#: and of its report.json. A stage whose bytes change gets a new tag.
+PINS = {
+    ("ingest", "1"): "dacd081e65638d0d623df8eb82dd6529b21f988ec50fd6368eb98e32088033d5",
+    ("bicm", "1"): "be5e5c6cc6c9b6f46514b4531c8f931b5f2250a620f3286c40ccccd13a45ad6e",
+    ("projection", "degree-class-1"):
+        "ab6cc849a34a2bd9f42bdb5f5a458c85758308addac6c2b64a68e6b18a3137ca",
+    ("nec", "1"): "0ad2a2e292c7d898f9fdedbf228e795db888ff8431ce955a1455788b07b30004",
+    ("voters", "1"): "05080ed83791b2f0276e893afa86d219f4cade077d8a2e34ee056c877a5a4196",
+    ("classify", "1"): "41b4327b579b300f989ed184a23392caf0d640d2a8dacf7beda2a16e3e0ba851",
+    ("figures", "1"): "4f4b55df1629c1962bc8aa5c31ea2c2a2f3556658199a29d1f0e4476ee28fb76",
+    "report.json": "8073417a5ca224bfc75feae9191c525c1398842cbfbfadbf62eadbc569c85427",
+}
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of a file or directory."""
+    h = hashlib.sha256()
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    for path in paths:
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root.parent).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def test_run_directory_bytes_match_stage_tags(run):
+    result, _ = run
+    for stage in pipeline.STAGES:
+        key = (stage.name, stage.tag)
+        assert tree_digest(result.out_dir / stage.name) == PINS.get(key), (
+            f"the bytes of stage {stage.name!r} (tag {stage.tag!r}) differ from its pin: "
+            "if the change is meant, bump the stage's tag in pipeline.STAGES "
+            f"and pin the new digest under {key} in PINS"
+        )
+    assert tree_digest(result.out_dir / "report.json") == PINS["report.json"], (
+        "report.json differs from its pin: if a stage's bytes changed, bump its tag "
+        "in pipeline.STAGES, then update the pins"
+    )
 
 
 class TestRunArtifacts:
@@ -281,8 +327,6 @@ class TestStageErrors:
 
 class TestFigureTables:
     def read_rows(self, path):
-        import csv
-
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             return list(reader)
@@ -376,8 +420,6 @@ class TestReportDocument:
         assert report["projection"]["n_edges"] == result.network.n_edges
 
     def test_nec_summary_table_matches_report(self, run):
-        import csv
-
         result, _ = run
         with open(result.out_dir / "nec" / "nec_summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -385,6 +427,50 @@ class TestReportDocument:
         assert len(rows) == len(report["nec"]["summary"])
         for row, entry in zip(rows, report["nec"]["summary"]):
             assert int(row["n_users"]) == entry["n_users"]
+
+
+def test_inputs_are_hashed_once_per_run(inputs, tmp_path, monkeypatch):
+    calls = []
+    sha256_file = pipeline._sha256_file
+
+    def counting(path):
+        calls.append(path)
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    report = run_pipeline(make_config(inputs, tmp_path / "run", theta_max=2)).report
+    assert len(calls) == 2
+    assert report["inputs"] == {
+        "posts_sha256": sha256_file(inputs / "posts.jsonl"),
+        "knowledge_base_sha256": sha256_file(inputs / "kb.csv"),
+    }
+
+
+def _fmt(value) -> str:
+    """The per-cell formatting ``write_csv`` applied before it left cells to csv.writer."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, Label):
+        return value.value
+    return str(value)
+
+
+def test_write_csv_cells_match_explicit_formatting(tmp_path):
+    row = [
+        "a,b", 'q"', "", Label.T, Label.UNC, 3, -7, 1.5, 0.1, 5e-324, -0.0,
+        math.nan, math.inf, -math.inf, None, True, False,
+        np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.int64(7),
+    ]
+    rows = [row, [None], [np.float64(1e-300), Label.N]]
+    pipeline.write_csv(tmp_path / "t.csv", ["h1", "h2"], rows)
+    with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["h1", "h2"])
+        for r in rows:
+            writer.writerow([_fmt(v) for v in r])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_stage_functions_are_looked_up_at_call_time(inputs, tmp_path, monkeypatch):
