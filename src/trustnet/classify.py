@@ -112,6 +112,11 @@ def publisher_scores(
     ]
 
 
+def labeled_samples(scores: list[PublisherScore]) -> list[tuple[float, Label]]:
+    """(score, label) of each scored publisher the knowledge base labels T or N."""
+    return [(s.score, s.kb_label) for s in scores if s.kb_label is not Label.UNC]
+
+
 def coverage(
     voters: list[VoterProfile], corpus: Corpus, kb: KnowledgeBase
 ) -> CoverageReport:
@@ -245,10 +250,9 @@ def worthy_list(scores: list[PublisherScore], kb: KnowledgeBase) -> list[WorthyE
     Most-voted first, then lowest score first; predictions come from a stump
     fit on all labeled publishers (None if a stump cannot be fit).
     """
-    labeled = [(s.score, s.kb_label) for s in scores if s.kb_label is not Label.UNC]
     stump: Stump | None
     try:
-        stump = fit_stump(labeled)
+        stump = fit_stump(labeled_samples(scores))
     except ValueError:
         stump = None
     entries = [

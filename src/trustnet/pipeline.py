@@ -387,26 +387,36 @@ class SweepPoint:
     knowledge: int
 
 
-def _knowledge_needed(
-    kind: StrategyKind,
-    cov: classify.CoverageReport,
+SWEEP_HEADER = (
+    "strategy", "theta", "n_voters", "covered_T", "covered_N", "covered_UNC",
+    "balanced_accuracy_mean", "balanced_accuracy_std", "knowledge",
+)
+
+
+def _evaluate(
+    config: PipelineConfig,
+    voters: list[VoterProfile],
     corpus: Corpus,
-    network: projection.ValidatedNetwork,
     kb: KnowledgeBase,
-) -> int:
-    """Distinct labeled publishers required to characterize the voter set.
+    strategy: str | None = None,
+) -> tuple[list[classify.PublisherScore], classify.CoverageReport, classify.CvReport | None]:
+    """Publisher scores, coverage and CV report of one voter set.
 
-    Every strategy but DS-URL-NEC characterizes a voter by everything they
-    shared, so its knowledge is the labeled publishers its voters cover.
+    Voters without a value score nothing but still count toward coverage.
+    The report is None when the labeled publishers cannot be cross-validated;
+    a ``strategy``'s full voter set logs why.
     """
-    if kind is not StrategyKind.DS_URL_NEC:
-        return cov.covered[Label.T] + cov.covered[Label.N]
-    pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
-    return sum(1 for p in pubs if kb.label(p) is not Label.UNC)
-
-
-def _cv_samples(scores: list[classify.PublisherScore]) -> list[tuple[float, Label]]:
-    return [(s.score, s.kb_label) for s in scores if s.kb_label is not Label.UNC]
+    scores = classify.publisher_scores([v for v in voters if v.value is not None], corpus, kb)
+    cov = classify.coverage(voters, corpus, kb)
+    try:
+        report = classify.stratified_cv(
+            classify.labeled_samples(scores), folds=config.cv_folds, seed=config.cv_seed
+        )
+    except ValueError as exc:
+        if strategy is not None:
+            log.warning("classify %s: CV skipped (%s)", strategy, exc)
+        report = None
+    return scores, cov, report
 
 
 def compute_sweep(
@@ -416,33 +426,31 @@ def compute_sweep(
     kb: KnowledgeBase,
     profiles: dict[StrategyKind, list[VoterProfile]],
 ) -> list[SweepPoint]:
+    """One point per strategy and θ: the strategy's voters whose diet reaches θ.
+
+    Knowledge counts the distinct labeled publishers needed to characterize
+    the voters. Every strategy but DS-URL-NEC characterizes a voter by
+    everything they shared, so its knowledge is the labeled publishers its
+    voters cover; DS-URL-NEC needs the labeled publishers of the validated
+    network, whatever θ.
+    """
+    validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
+    nec_knowledge = sum(1 for p in validated_pubs if kb.label(p) is not Label.UNC)
     points = []
     for kind, profs in profiles.items():
         for theta in config.thetas():
             surviving = voters_mod.filter_min_publishers(profs, theta)
-            valued = [v for v in surviving if v.value is not None]
-            cov = classify.coverage(surviving, corpus, kb)
-            scores = classify.publisher_scores(valued, corpus, kb)
-            samples = _cv_samples(scores)
-            try:
-                report = classify.stratified_cv(
-                    samples, folds=config.cv_folds, seed=config.cv_seed
-                )
-                mean = report.mean_balanced_accuracy
-                std = report.std_balanced_accuracy
-            except ValueError:
-                mean = std = None
-            points.append(
-                SweepPoint(
-                    strategy=kind.value,
-                    theta=theta,
-                    n_voters=len(surviving),
-                    covered={l.value: cov.covered[l] for l in Label},
-                    balanced_accuracy_mean=mean,
-                    balanced_accuracy_std=std,
-                    knowledge=_knowledge_needed(kind, cov, corpus, network, kb),
-                )
-            )
+            _, cov, report = _evaluate(config, surviving, corpus, kb)
+            points.append(SweepPoint(
+                strategy=kind.value,
+                theta=theta,
+                n_voters=len(surviving),
+                covered={l.value: cov.covered[l] for l in Label},
+                balanced_accuracy_mean=report.mean_balanced_accuracy if report else None,
+                balanced_accuracy_std=report.std_balanced_accuracy if report else None,
+                knowledge=nec_knowledge if kind is StrategyKind.DS_URL_NEC
+                else cov.covered[Label.T] + cov.covered[Label.N],
+            ))
     return points
 
 
@@ -454,114 +462,50 @@ def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cach
     results: dict = {"strategies": {}, "sweep": []}
     coverage_rows = []
     for kind, profs in profiles.items():
-        valued = [v for v in profs if v.value is not None]
-        scores = classify.publisher_scores(valued, corpus, kb)
-        cov = classify.coverage(profs, corpus, kb)
-        samples = _cv_samples(scores)
-        cv_report = None
-        try:
-            cv_report = classify.stratified_cv(
-                samples, folds=config.cv_folds, seed=config.cv_seed
-            )
-        except ValueError as exc:
-            log.warning("classify %s: CV skipped (%s)", kind.value, exc)
-        worthy = classify.worthy_list(scores, kb)
+        scores, cov, cv_report = _evaluate(config, profs, corpus, kb, kind.value)
+        worthy = [asdict(w) for w in classify.worthy_list(scores, kb)]
         stump = None
         try:
-            stump = classify.fit_stump(samples)
+            stump = classify.fit_stump(classify.labeled_samples(scores))
         except ValueError:
             pass
-        write_csv(
-            stage_dir / f"scores_{kind.value}.csv",
-            ["domain", "score", "n_voters", "kb_label", "predicted"],
-            [
-                (
-                    s.domain,
-                    s.score,
-                    s.n_voters,
-                    s.kb_label,
-                    stump.predict(s.score) if stump else None,
-                )
-                for s in scores
-            ],
-        )
-        write_csv(
-            stage_dir / f"worthy_{kind.value}.csv",
-            ["domain", "score", "n_voters", "predicted"],
-            [(w.domain, w.score, w.n_voters, w.predicted) for w in worthy],
-        )
+        write_csv(stage_dir / f"scores_{kind.value}.csv",
+                  ["domain", "score", "n_voters", "kb_label", "predicted"],
+                  [(s.domain, s.score, s.n_voters, s.kb_label,
+                    stump.predict(s.score) if stump else None) for s in scores])
+        write_csv(stage_dir / f"worthy_{kind.value}.csv",
+                  [f.name for f in fields(classify.WorthyEntry)], [w.values() for w in worthy])
         cv_json = None
         if cv_report is not None:
             cv_json = {
                 "folds": cv_report.folds,
                 "baseline": cv_report.baseline,
-                "confusion": [
-                    {"tp": r.tp, "fn": r.fn, "tn": r.tn, "fp": r.fp}
-                    for r in cv_report.results
-                ],
+                "confusion": [asdict(r) for r in cv_report.results],
                 "balanced_accuracy": cv_report.balanced_accuracies,
                 "mean": cv_report.mean_balanced_accuracy,
                 "std": cv_report.std_balanced_accuracy,
             }
         write_json(stage_dir / f"cv_{kind.value}.json", cv_json or {})
-        coverage_rows.append(
-            (
-                kind.value,
-                cov.percentage(Label.T),
-                cov.percentage(Label.N),
-                cov.percentage(Label.UNC),
-            )
-        )
+        coverage_rows.append((kind.value, *(cov.percentage(l) for l in Label)))
         results["strategies"][kind.value] = {
             "n_voters": len(profs),
-            "n_valued_voters": len(valued),
+            "n_valued_voters": sum(1 for v in profs if v.value is not None),
             "coverage": {
                 "covered": {l.value: cov.covered[l] for l in Label},
                 "universe": {l.value: cov.universe[l] for l in Label},
                 "percentage": {l.value: cov.percentage(l) for l in Label},
             },
             "cv": cv_json,
-            "worthy": [
-                {
-                    "domain": w.domain,
-                    "score": w.score,
-                    "n_voters": w.n_voters,
-                    "predicted": w.predicted.value if w.predicted else None,
-                }
-                for w in worthy
-            ],
+            "worthy": worthy,  # json writes a Label as its value
         }
     write_csv(stage_dir / "coverage.csv", ["strategy", "T", "N", "UNC"], coverage_rows)
 
     sweep = compute_sweep(config, corpus, network, kb, profiles)
-    write_csv(
-        stage_dir / "sweep.csv",
-        [
-            "strategy",
-            "theta",
-            "n_voters",
-            "covered_T",
-            "covered_N",
-            "covered_UNC",
-            "balanced_accuracy_mean",
-            "balanced_accuracy_std",
-            "knowledge",
-        ],
-        [
-            (
-                p.strategy,
-                p.theta,
-                p.n_voters,
-                p.covered["T"],
-                p.covered["N"],
-                p.covered["UNC"],
-                p.balanced_accuracy_mean,
-                p.balanced_accuracy_std,
-                p.knowledge,
-            )
-            for p in sweep
-        ],
-    )
+    write_csv(stage_dir / "sweep.csv", SWEEP_HEADER, [
+        (p.strategy, p.theta, p.n_voters, *(p.covered[l.value] for l in Label),
+         p.balanced_accuracy_mean, p.balanced_accuracy_std, p.knowledge)
+        for p in sweep
+    ])
     results["sweep"] = [asdict(p) for p in sweep]
     return (results, sweep), {}
 
@@ -617,18 +561,20 @@ FIGURE_FILES = (
 
 
 def load_sweep(stage_dir: Path) -> list[SweepPoint]:
-    return [
-        SweepPoint(
-            strategy=row[0],
-            theta=int(row[1]),
-            n_voters=int(row[2]),
-            covered={"T": int(row[3]), "N": int(row[4]), "UNC": int(row[5])},
-            balanced_accuracy_mean=float(row[6]) if row[6] else None,
-            balanced_accuracy_std=float(row[7]) if row[7] else None,
-            knowledge=int(row[8]),
-        )
-        for row in read_csv(stage_dir / "sweep.csv")
-    ]
+    points = []
+    for row in read_csv(stage_dir / "sweep.csv"):
+        r = dict(zip(SWEEP_HEADER, row))
+        mean, std = r["balanced_accuracy_mean"], r["balanced_accuracy_std"]
+        points.append(SweepPoint(
+            strategy=r["strategy"],
+            theta=int(r["theta"]),
+            n_voters=int(r["n_voters"]),
+            covered={l.value: int(r[f"covered_{l.value}"]) for l in Label},
+            balanced_accuracy_mean=float(mean) if mean else None,
+            balanced_accuracy_std=float(std) if std else None,
+            knowledge=int(r["knowledge"]),
+        ))
+    return points
 
 
 # ---------------------------------------------------------------------------
