@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 from urllib.parse import urlsplit
 
 log = logging.getLogger(__name__)
@@ -117,12 +117,18 @@ def _group(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
     return {key: frozenset(values) for key, values in groups.items()}
 
 
+def _normalize_host(host: str) -> str:
+    """A publisher domain: the host lowercased, without surrounding dots and one leading ``www.``."""
+    host = host.lower().strip(".")
+    return host[len("www."):] if host.startswith("www.") else host
+
+
 def _url_parts(url: str) -> tuple[str, str] | None:
     """(canonical URL, publisher domain) of an absolute URL, or None if it has no host.
 
-    The one place a URL is split. The domain is the lowercased host without port,
-    surrounding dots and one leading ``www.``. The canonical URL is scheme +
-    domain + path: query string, fragment, userinfo and port are dropped.
+    The one place a URL is split. The domain is the host without port, normalized
+    by ``_normalize_host``. The canonical URL is scheme + domain + path: query
+    string, fragment, userinfo and port are dropped.
     """
     try:
         parts = urlsplit(url)
@@ -131,9 +137,7 @@ def _url_parts(url: str) -> tuple[str, str] | None:
     host = parts.hostname
     if not parts.scheme or not host:
         return None
-    host = host.lower().strip(".")
-    if host.startswith("www."):
-        host = host[len("www."):]
+    host = _normalize_host(host)
     if not host:
         return None
     return f"{parts.scheme.lower()}://{host}{parts.path}", host
@@ -151,7 +155,7 @@ def canonical_url(url: str) -> str | None:
     return parts[0] if parts else None
 
 
-def _parse_post(obj: object, url_parts: Callable[[str], tuple | None]) -> RawPost | None:
+def _parse_post(obj: object) -> RawPost | None:
     if not isinstance(obj, dict):
         return None
     post_id = obj.get("post_id")
@@ -169,10 +173,7 @@ def _parse_post(obj: object, url_parts: Callable[[str], tuple | None]) -> RawPos
         return None
     if kind not in POST_KINDS:
         return None
-    # URLs that do not parse as scheme+host are dropped here so every
-    # retained RawPost satisfies the parseability invariant.
-    kept = tuple(u for u in urls if url_parts(u) is not None)
-    return RawPost(post_id, user_id, float(timestamp), kept, kind)
+    return RawPost(post_id, user_id, float(timestamp), tuple(urls), kind)
 
 
 def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
@@ -183,7 +184,6 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     unreadable file raises OSError.
     """
     posts: list[RawPost] = []
-    url_parts = cache(_url_parts)  # one split per distinct raw URL
     seen_ids: set[str] = set()
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,7 +197,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 malformed += 1
                 log.warning("%s:%d: unparseable record skipped", path, lineno)
                 continue
-            post = _parse_post(obj, url_parts)
+            post = _parse_post(obj)
             if post is None or post.post_id in seen_ids:
                 malformed += 1
                 log.warning("%s:%d: malformed or duplicate record skipped", path, lineno)
@@ -214,6 +214,7 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
 
     Interactions are deduplicated on (user, url); share events keep post
     multiplicity. Only posts of a kind in ``DEFAULT_INCLUDE_KINDS`` contribute.
+    A URL without a scheme and host is skipped and counted in ``skipped_urls``.
     """
     interactions: set[tuple[str, str, str]] = set()
     share_events: list[tuple[str, str, str]] = []
@@ -243,8 +244,10 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:
     """Read the ``domain,score`` CSV (header required, empty score = UNC).
 
-    A score outside 0..100 or a non-integer score is fatal and reports the
-    line number. Duplicate domains resolve last-wins with a warning.
+    Domains are normalized as URL hosts are, so ``WWW.Example.com.`` is
+    ``example.com``. A missing domain, a score outside 0..100 or a non-integer
+    score is fatal and reports the line number. Duplicate domains resolve
+    last-wins with a warning.
     """
     kb = KnowledgeBase()
     unclassified: set[str] = set()
@@ -257,11 +260,9 @@ def load_knowledge_base(path: str | Path) -> KnowledgeBase:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < 1 or not row[0].strip():
+            domain = _normalize_host(row[0].strip())
+            if not domain:
                 raise KnowledgeBaseError(f"{path}:{lineno}: missing domain")
-            domain = row[0].strip().lower()
-            if domain.startswith("www."):
-                domain = domain[len("www."):]
             raw_score = row[1].strip() if len(row) > 1 else ""
             if domain in kb.scores or domain in unclassified:
                 duplicates[domain] += 1

@@ -592,7 +592,7 @@ class Stage:
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", "1", (), (),
+    Stage("ingest", "2", (), (),
           lambda c: ("interactions.csv", "share_events.csv", "publishers.csv")),
     Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
           lambda c: ("fitness.csv",)),

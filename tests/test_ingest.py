@@ -76,6 +76,16 @@ class TestLoadPosts:
         with pytest.raises(OSError):
             load_posts(tmp_path / "nope.jsonl")
 
+    def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
+        p = tmp_path / "posts.jsonl"
+        write_posts(p, [_post("p0", "u1", ["https://a.com/x", "notaurl"]),
+                        _post("p1", "u2", ["example.com/y", "notaurl"])])
+        posts, malformed = load_posts(p)
+        corpus = build_corpus(posts)
+        assert malformed == 0
+        assert corpus.skipped_urls == 3
+        assert corpus.articles == {"https://a.com/x"}
+
 
 class TestExtractDomain:
     def test_strips_www_query_and_path(self):
@@ -170,7 +180,7 @@ class TestUrlPartsOracle:
         monkeypatch.setattr(ingest, "urlsplit", counting)
         posts, _ = load_posts(tmp_path / "posts.jsonl")
         corpus = build_corpus(posts)
-        assert len(calls) <= 6  # 3 distinct raw URLs, two passes
+        assert len(calls) <= 3  # 3 distinct raw URLs, split only by build_corpus
         assert corpus.articles == {"https://a.com/x", "http://b.org/y"}
 
 
@@ -268,6 +278,19 @@ class TestKnowledgeBase:
     def test_non_integer_score_fatal(self, tmp_path):
         with pytest.raises(KnowledgeBaseError):
             load_knowledge_base(self.write_kb(tmp_path, ["x.com,high"]))
+
+    def test_domains_normalize_as_url_hosts_do(self, tmp_path):
+        kb = load_knowledge_base(self.write_kb(
+            tmp_path, ["Example.com.,90", "WWW.News.org,20", ".dotted.net.,70"]
+        ))
+        for url, label in [("https://example.com/a", Label.T),
+                           ("https://www.news.org/b", Label.N),
+                           ("http://dotted.net./c", Label.T)]:
+            assert kb.label(extract_domain(url)) is label
+
+    def test_domain_that_normalizes_to_nothing_is_fatal(self, tmp_path):
+        with pytest.raises(KnowledgeBaseError, match=":3: missing domain"):
+            load_knowledge_base(self.write_kb(tmp_path, ["x.com,90", "..,50"]))
 
     def test_header_required(self, tmp_path):
         with pytest.raises(KnowledgeBaseError):

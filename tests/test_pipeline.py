@@ -61,24 +61,33 @@ STAGE_FILES = {
 #: SHA-256 of each stage directory of the ``run`` fixture, keyed by (stage, tag),
 #: and of its report.json. A stage whose bytes change gets a new tag.
 PINS = {
-    ("ingest", "1"): "dacd081e65638d0d623df8eb82dd6529b21f988ec50fd6368eb98e32088033d5",
-    ("bicm", "1"): "be5e5c6cc6c9b6f46514b4531c8f931b5f2250a620f3286c40ccccd13a45ad6e",
+    ("ingest", "2"): "0f8126018ed8019988f1568d9aee98657fc67783755280fc9e6ffdaa061f73e8",
+    ("bicm", "1"): "0fee5f3649935debd1e54435a6c67a2e70bced57e03070b0b0f8973a10d122da",
     ("projection", "degree-class-1"):
-        "ab6cc849a34a2bd9f42bdb5f5a458c85758308addac6c2b64a68e6b18a3137ca",
-    ("nec", "1"): "0ad2a2e292c7d898f9fdedbf228e795db888ff8431ce955a1455788b07b30004",
-    ("voters", "1"): "05080ed83791b2f0276e893afa86d219f4cade077d8a2e34ee056c877a5a4196",
-    ("classify", "1"): "41b4327b579b300f989ed184a23392caf0d640d2a8dacf7beda2a16e3e0ba851",
-    ("figures", "1"): "4f4b55df1629c1962bc8aa5c31ea2c2a2f3556658199a29d1f0e4476ee28fb76",
-    "report.json": "8073417a5ca224bfc75feae9191c525c1398842cbfbfadbf62eadbc569c85427",
+        "89369fb5f1a3ac8293429c3bb29d5ee9b4cc679e040c3b1cbf16ab26dc1d15b2",
+    ("nec", "1"): "4829daba0e741de4da6248bb54fe1e809a75c971cffb0163b1696ae0c2bbdbb3",
+    ("voters", "1"): "f29f3a755355c168e1ea9f95c5977aa32456e43bd99aba2d743ce166d8849294",
+    ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
+    ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
+    "report.json": "630bc721170ad663180b55e4ac602ce048ce644e6df51a201dce346a2d1a2413",
 }
 
 
 def tree_digest(root: Path) -> str:
-    """SHA-256 over the sorted relative paths and bytes of a file or directory."""
+    """SHA-256 over the sorted relative paths and bytes of a file or directory.
+
+    A meta.json counts without its ``config_hash``: that hash covers the tags of
+    every stage upstream, so keeping it would move every downstream pin when
+    one stage's tag is bumped. report.json is hashed whole.
+    """
     h = hashlib.sha256()
     paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
     for path in paths:
         data = path.read_bytes()
+        if path.name == "meta.json":
+            meta = json.loads(data)
+            del meta["config_hash"]
+            data = json.dumps(meta, sort_keys=True).encode()
         h.update(f"{path.relative_to(root.parent).as_posix()}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
