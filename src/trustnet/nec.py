@@ -77,9 +77,6 @@ class _LevelGraph:
     def degrees(self) -> list[float]:
         return [sum(nbrs.values()) + self.loops[i] for i, nbrs in enumerate(self.adj)]
 
-    def total_weight2(self) -> float:
-        return sum(self.degrees())
-
 
 def _one_level(graph: _LevelGraph, rng: random.Random, min_gain: float = 1e-12):
     """Sequential local moves until no node improves its community.

@@ -71,7 +71,9 @@ class PipelineConfig:
     def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
         """Config from a JSON file (defaults if ``path`` is None); non-None overrides win.
 
-        A setting no run can use is a ValueError that names its key.
+        A setting no run can use is a ValueError that names its key: an unknown
+        key, a value of the wrong type or one out of range. An int field takes
+        no bool, a float field takes an int too, and ``strategies`` a list of str.
         """
         data = {}
         if path is not None:
@@ -86,6 +88,17 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
+        for f in fields(cls):
+            value = data.get(f.name, f.default)
+            if f.name == "strategies":
+                want = "a list of str"
+                ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            else:
+                want = f.type
+                kinds = (int, float) if f.type == "float" else type(f.default)
+                ok = isinstance(value, kinds) and not isinstance(value, bool)
+            if not ok:
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
         if "strategies" in data:
             data["strategies"] = tuple(data["strategies"])
         config = cls(**data)

@@ -129,11 +129,21 @@ def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
         ('{"alpha": -1}', "alpha"),
         ('{"solver_tol": 0}', "solver_tol"),
         ('{"solver_max_iter": 0}', "solver_max_iter"),
+        ('{"cv_folds": "5"}', "cv_folds"),
+        ('{"theta_min": null}', "theta_min"),
+        ('{"cv_folds": true}', "cv_folds"),
+        ('{"louvain_seed": 1.5}', "louvain_seed"),
+        ('{"alpha": "0.05"}', "alpha"),
+        ('{"alpha": false}', "alpha"),
+        ('{"strategies": "DS-ALL"}', "strategies"),
+        ('{"strategies": [1]}', "strategies"),
     ],
     ids=[
         "unknown-key", "removed-key", "malformed-json", "missing-file", "zero-folds",
         "one-fold", "negative-theta-min", "theta-min-above-max", "unknown-strategy",
         "alpha-above-one", "zero-alpha", "negative-alpha", "zero-tol", "zero-max-iter",
+        "string-folds", "null-theta-min", "bool-folds", "float-seed", "string-alpha",
+        "bool-alpha", "string-strategies", "int-strategy",
     ],
 )
 def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):

@@ -523,3 +523,55 @@ def test_nec_summary_is_computed_once_per_run(inputs, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert second["nec"] == first["nec"]
     assert first["nec"]["summary"]
+
+
+def test_validated_urls_are_not_rebuilt_per_theta(inputs, tmp_path, monkeypatch):
+    from trustnet import projection
+
+    calls = []
+    validated_urls = projection.ValidatedNetwork.validated_urls
+
+    def counting(self):
+        calls.append(1)
+        return validated_urls(self)
+
+    monkeypatch.setattr(projection.ValidatedNetwork, "validated_urls", counting)
+    counts = []
+    for theta_max in (2, 6):
+        calls.clear()
+        run_pipeline(make_config(inputs, tmp_path / f"run{theta_max}", theta_max=theta_max))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_classify_report_covers_every_profile_whatever_theta_min(inputs, tmp_path):
+    from trustnet import classify
+
+    result = run_pipeline(make_config(inputs, tmp_path / "run", theta_min=3))
+    # θ = 3 drops some voters, so a θ-filtered report would differ
+    assert any(v.diet < 3 for profs in result.profiles.values() for v in profs)
+    strategies = result.report["classify"]["strategies"]
+    for kind, profs in result.profiles.items():
+        cov = classify.coverage(profs, result.corpus, result.kb)
+        assert strategies[kind.value]["n_voters"] == len(profs)
+        assert strategies[kind.value]["coverage"]["covered"] == {
+            level.value: cov.covered[level] for level in Label
+        }
+
+
+def test_skipped_cv_warns_once_per_strategy(inputs, tmp_path, monkeypatch, caplog):
+    from trustnet import classify
+
+    def refusing(*args, **kwargs):
+        raise ValueError("each class needs at least 2 samples")
+
+    monkeypatch.setattr(classify, "stratified_cv", refusing)
+    config = make_config(inputs, tmp_path / "run", theta_max=2)
+    with caplog.at_level(logging.WARNING, logger="trustnet.pipeline"):
+        result = run_pipeline(config)
+    skipped = [m for m in caplog.messages if "CV skipped" in m]
+    assert skipped == [
+        f"classify {s}: CV skipped (each class needs at least 2 samples)"
+        for s in config.strategies
+    ]
+    assert all(p["balanced_accuracy_mean"] is None for p in result.report["classify"]["sweep"])
