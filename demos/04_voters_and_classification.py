@@ -62,7 +62,7 @@ side = ">=" if stump.high_is_trustworthy else "<"
 print(f"fitted stump: predict T when score {side} {stump.threshold:.2f}")
 
 print("\nworthy-to-be-ranked unclassified publishers:")
-for entry in classify.worthy_list(scores, kb)[:5]:
+for entry in classify.worthy_list(scores, stump)[:5]:
     print(f"  {entry.domain:<18} score={entry.score:5.1f} "
           f"voters={entry.n_voters:3d} predicted={entry.predicted.value}")
 

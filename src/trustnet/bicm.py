@@ -9,7 +9,7 @@ share one unknown, so the solve runs on the much smaller degree-class system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -54,26 +54,13 @@ class BipartiteGraph:
         return {a: j for j, a in enumerate(self.url_ids)}
 
     @classmethod
-    def from_links(
-        cls,
-        links: Iterable[tuple[str, str]],
-        user_order: Sequence[str] | None = None,
-        url_order: Sequence[str] | None = None,
-    ) -> "BipartiteGraph":
-        """Build from (user_id, url_id) pairs; zero-degree nodes are dropped."""
+    def from_links(cls, links: Iterable[tuple[str, str]]) -> "BipartiteGraph":
+        """Build from (user_id, url_id) pairs; ids sorted, zero-degree nodes dropped."""
         pairs = set(links)
         if not pairs:
             raise ValueError("cannot build a bipartite graph with no links")
-        linked_users = {u for u, _ in pairs}
-        linked_urls = {a for _, a in pairs}
-        if user_order is None:
-            users = tuple(sorted(linked_users))
-        else:
-            users = tuple(u for u in user_order if u in linked_users)
-        if url_order is None:
-            urls = tuple(sorted(linked_urls))
-        else:
-            urls = tuple(a for a in url_order if a in linked_urls)
+        users = tuple(sorted({u for u, _ in pairs}))
+        urls = tuple(sorted({a for _, a in pairs}))
         uidx = {u: i for i, u in enumerate(users)}
         aidx = {a: j for j, a in enumerate(urls)}
         rows = np.fromiter((uidx[u] for u, _ in pairs), dtype=np.int64, count=len(pairs))
@@ -93,12 +80,7 @@ def build_graph(corpus) -> BipartiteGraph:
     """One link per corpus interaction; multiplicities collapse to a binary link."""
     if not corpus.interactions:
         raise ValueError("empty corpus")
-    links = {(user, url) for user, url, _ in corpus.interactions}
-    return BipartiteGraph.from_links(
-        links,
-        user_order=sorted(corpus.users),
-        url_order=sorted(corpus.articles),
-    )
+    return BipartiteGraph.from_links((user, url) for user, url, _ in corpus.interactions)
 
 
 @dataclass
@@ -369,6 +351,4 @@ def sample(model: BicmModel, seed: int) -> BipartiteGraph:
             user_degrees=np.zeros(0, dtype=np.int64),
             url_degrees=np.zeros(0, dtype=np.int64),
         )
-    return BipartiteGraph.from_links(
-        links, user_order=model.user_ids, url_order=model.url_ids
-    )
+    return BipartiteGraph.from_links(links)

@@ -244,17 +244,12 @@ class WorthyEntry:
     predicted: Label | None
 
 
-def worthy_list(scores: list[PublisherScore], kb: KnowledgeBase) -> list[WorthyEntry]:
+def worthy_list(scores: list[PublisherScore], stump: Stump | None) -> list[WorthyEntry]:
     """Unclassified publishers ranked for annotation priority.
 
-    Most-voted first, then lowest score first; predictions come from a stump
+    Most-voted first, then lowest score first; predictions come from ``stump``,
     fit on all labeled publishers (None if a stump cannot be fit).
     """
-    stump: Stump | None
-    try:
-        stump = fit_stump(labeled_samples(scores))
-    except ValueError:
-        stump = None
     entries = [
         WorthyEntry(
             domain=s.domain,

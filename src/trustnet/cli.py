@@ -40,6 +40,10 @@ STAGE_COMMANDS = {
 }
 
 
+#: the SyntheticSpec fields ``synth`` takes as flags; the score ranges stay fixed
+SYNTH_FIELDS = tuple(f for f in fields(SyntheticSpec) if f.type in ("int", "float"))
+
+
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--posts", help="posts JSONL file")
@@ -90,20 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted synthetic corpus")
     p.add_argument("--out-posts", required=True)
     p.add_argument("--out-kb", required=True)
-    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    p.add_argument("--users-per-block", type=int, default=SyntheticSpec.users_per_block)
-    p.add_argument(
-        "--publishers-per-pool", type=int, default=SyntheticSpec.publishers_per_pool
-    )
-    p.add_argument(
-        "--urls-per-publisher", type=int, default=SyntheticSpec.urls_per_publisher
-    )
-    p.add_argument("--p-in", type=float, default=SyntheticSpec.p_in)
-    p.add_argument("--p-out", type=float, default=SyntheticSpec.p_out)
-    p.add_argument("--unc-fraction", type=float, default=SyntheticSpec.unc_fraction)
-    p.add_argument(
-        "--publisher-focus", type=float, default=SyntheticSpec.publisher_focus
-    )
+    for f in SYNTH_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     return parser
 
 
@@ -115,16 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.command == "synth":
         try:
-            spec = SyntheticSpec(
-                users_per_block=args.users_per_block,
-                publishers_per_pool=args.publishers_per_pool,
-                urls_per_publisher=args.urls_per_publisher,
-                p_in=args.p_in,
-                p_out=args.p_out,
-                unc_fraction=args.unc_fraction,
-                seed=args.seed,
-                publisher_focus=args.publisher_focus,
-            )
+            spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in SYNTH_FIELDS})
             generate_synthetic(spec, args.out_posts, args.out_kb)
             return 0
         except Exception as exc:

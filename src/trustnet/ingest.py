@@ -65,9 +65,6 @@ class KnowledgeBase:
             return Label.UNC
         return Label.T if score >= 60 else Label.N
 
-    def __contains__(self, domain: str) -> bool:
-        return domain in self.scores
-
 
 @dataclass(frozen=True)
 class Corpus:

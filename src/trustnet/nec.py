@@ -54,9 +54,17 @@ class NecRow:
     n_shares: int
 
 
-def _edge_weights(network: ValidatedNetwork) -> dict[tuple[str, str], float]:
-    """Unit weight per validated edge, keyed by its ordered URL pair."""
-    return {(a, b) if a < b else (b, a): 1.0 for a, b, _ in network.edges}
+#: a move must beat staying by more than this, so float noise moves nothing
+MIN_GAIN = 1e-12
+
+
+def _edges(network: ValidatedNetwork) -> list[tuple[str, str]]:
+    """Each validated edge once, as its ordered URL pair, in network order.
+
+    A list, not a set: modularity sums its terms in this order, and a set's
+    order would follow the interpreter's string hash seed.
+    """
+    return list(dict.fromkeys((a, b) if a < b else (b, a) for a, b, _ in network.edges))
 
 
 class _LevelGraph:
@@ -67,18 +75,11 @@ class _LevelGraph:
         self.adj: list[dict[int, float]] = [dict() for _ in range(n)]
         self.loops = [0.0] * n
 
-    def add_edge(self, i: int, j: int, w: float) -> None:
-        if i == j:
-            self.loops[i] += 2.0 * w
-            return
-        self.adj[i][j] = self.adj[i].get(j, 0.0) + w
-        self.adj[j][i] = self.adj[j].get(i, 0.0) + w
-
     def degrees(self) -> list[float]:
         return [sum(nbrs.values()) + self.loops[i] for i, nbrs in enumerate(self.adj)]
 
 
-def _one_level(graph: _LevelGraph, rng: random.Random, min_gain: float = 1e-12):
+def _one_level(graph: _LevelGraph, rng: random.Random):
     """Sequential local moves until no node improves its community.
 
     Returns (community per node, modularity after each sweep, whether any
@@ -123,7 +124,7 @@ def _one_level(graph: _LevelGraph, rng: random.Random, min_gain: float = 1e-12):
             for c in sorted(w_comm):
                 if c == c_old:
                     continue
-                if gain(c) > best_gain + min_gain:
+                if gain(c) > best_gain + MIN_GAIN:
                     best_c, best_gain = c, gain(c)
             sigma_tot[best_c] += k_i
             sigma_in[best_c] += 2.0 * w_comm.get(best_c, 0.0) + graph.loops[node]
@@ -162,15 +163,16 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
     carry no validated edge are assigned the reserved community -1.
     """
     assignment = {u: UNCLUSTERED for u in network.urls}
-    weights = _edge_weights(network)
-    if not weights:
+    edges = _edges(network)
+    if not edges:
         return Partition(assignment=assignment, modularity=0.0)
 
     nodes = sorted(network.validated_urls())
     index = {u: i for i, u in enumerate(nodes)}
     level = _LevelGraph(len(nodes))
-    for (a, b), w in sorted(weights.items()):
-        level.add_edge(index[a], index[b], w)
+    for a, b in edges:
+        i, j = index[a], index[b]
+        level.adj[i][j] = level.adj[j][i] = 1.0
 
     rng = random.Random(seed)
     node_comm = list(range(len(nodes)))
@@ -184,9 +186,9 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
         level, remap = _aggregate(level, comm)
         node_comm = [remap[c] for c in node_comm]
 
-    final = _relabel({nodes[i]: c for i, c in enumerate(node_comm)}, weights)
+    final = _relabel({nodes[i]: c for i, c in enumerate(node_comm)}, edges)
     assignment.update(final)
-    q = modularity_of_edges(weights, assignment)
+    q = modularity_of_edges(edges, assignment)
     return Partition(
         assignment=assignment,
         modularity=q,
@@ -194,32 +196,27 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
     )
 
 
-def _relabel(
-    raw: dict[str, int], weights: dict[tuple[str, str], float]
-) -> dict[str, int]:
+def _relabel(raw: dict[str, int], edges: list[tuple[str, str]]) -> dict[str, int]:
     """Contiguous ids from 0, largest community first; singletons merged away.
 
     A validated URL always has a neighbor, so a surviving singleton community
-    joins the neighbor community it is most strongly connected to (ties break
-    toward the smaller community label).
+    joins the neighboring community with the smallest Louvain id, however
+    many of its edges lead into each one.
     """
     groups: dict[int, set[str]] = defaultdict(set)
     for u, c in raw.items():
         groups[c].add(u)
-    nbrs: dict[str, dict[str, float]] = defaultdict(dict)
-    for (a, b), w in weights.items():
-        nbrs[a][b] = w
-        nbrs[b][a] = w
+    nbrs: dict[str, set[str]] = defaultdict(set)
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     for c in sorted(groups, key=lambda c: min(groups[c])):
         if len(groups[c]) != 1:
             continue
         (lone,) = groups[c]
-        cand = sorted(
-            (-w, raw[v], v) for v, w in nbrs[lone].items() if raw[v] != c
-        )
-        if not cand:
+        target = min((raw[v] for v in nbrs[lone] if raw[v] != c), default=None)
+        if target is None:
             continue
-        target = cand[0][1]
         groups[c].discard(lone)
         groups[target].add(lone)
         raw[lone] = target
@@ -231,24 +228,23 @@ def _relabel(
     return {u: remap[c] for u, c in raw.items()}
 
 
-def modularity_of_edges(
-    weights: dict[tuple[str, str], float], assignment: dict[str, int]
-) -> float:
-    """Q = sum_c (m_c / m - (d_c / 2m)^2) over the given undirected edges."""
-    two_m = 0.0
-    d_c: dict[int, float] = defaultdict(float)
-    m_c: dict[int, float] = defaultdict(float)
-    for (a, b), w in weights.items():
-        two_m += 2.0 * w
-        ca, cb = assignment[a], assignment[b]
-        d_c[ca] += w
-        d_c[cb] += w
-        if ca == cb:
-            m_c[ca] += w
-    if two_m == 0.0:
+def modularity_of_edges(edges: list[tuple[str, str]], assignment: dict[str, int]) -> float:
+    """Q = sum_c (m_c / m - (d_c / 2m)^2) over the given undirected unit edges.
+
+    The terms are summed in the order their communities first appear in ``edges``.
+    """
+    if not edges:
         return 0.0
-    m = two_m / 2.0
-    return sum(m_c[c] / m - (d_c[c] / two_m) ** 2 for c in d_c)
+    d_c: dict[int, int] = defaultdict(int)
+    m_c: dict[int, int] = defaultdict(int)
+    for a, b in edges:
+        ca, cb = assignment[a], assignment[b]
+        d_c[ca] += 1
+        d_c[cb] += 1
+        if ca == cb:
+            m_c[ca] += 1
+    m = len(edges)
+    return sum(m_c[c] / m - (d_c[c] / (2 * m)) ** 2 for c in d_c)
 
 
 def modularity(network: ValidatedNetwork, assignment: dict[str, int]) -> float:
@@ -256,7 +252,7 @@ def modularity(network: ValidatedNetwork, assignment: dict[str, int]) -> float:
     for a, b, _ in network.edges:
         if a not in assignment or b not in assignment:
             raise ValueError("assignment must cover every network node")
-    return modularity_of_edges(_edge_weights(network), assignment)
+    return modularity_of_edges(_edges(network), assignment)
 
 
 def purity(

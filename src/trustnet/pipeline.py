@@ -73,7 +73,8 @@ class PipelineConfig:
 
         A setting no run can use is a ValueError that names its key: an unknown
         key, a value of the wrong type or one out of range. An int field takes
-        no bool, a float field takes an int too, and ``strategies`` a list of str.
+        no bool, a float field takes an int too (stored as a float, so both
+        hash alike), and ``strategies`` a list of str.
         """
         data = {}
         if path is not None:
@@ -99,6 +100,8 @@ class PipelineConfig:
                 ok = isinstance(value, kinds) and not isinstance(value, bool)
             if not ok:
                 raise ValueError(f"{f.name} must be {want}, got {value!r}")
+            if f.type == "float":
+                data[f.name] = float(value)
         if "strategies" in data:
             data["strategies"] = tuple(data["strategies"])
         config = cls(**data)
@@ -476,12 +479,12 @@ def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cach
     coverage_rows = []
     for kind, profs in profiles.items():
         scores, cov, cv_report = _evaluate(config, profs, corpus, kb, kind.value)
-        worthy = [asdict(w) for w in classify.worthy_list(scores, kb)]
         stump = None
         try:
             stump = classify.fit_stump(classify.labeled_samples(scores))
         except ValueError:
             pass
+        worthy = [asdict(w) for w in classify.worthy_list(scores, stump)]
         write_csv(stage_dir / f"scores_{kind.value}.csv",
                   ["domain", "score", "n_voters", "kb_label", "predicted"],
                   [(s.domain, s.score, s.n_voters, s.kb_label,

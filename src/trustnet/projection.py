@@ -192,7 +192,10 @@ def pair_pvalue(model: BicmModel, pair: tuple[int, int], observed: int) -> PairT
 
 
 def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> list[PairTest]:
-    """Tests for every co-occurring URL pair; one pmf serves each URL-class pair."""
+    """Tests for every co-occurring URL pair; one pmf serves each URL-class pair.
+
+    The tests come in ascending (url_a, url_b) order, as ``cooccurrences`` gives the pairs.
+    """
     counts = cooccurrences(graph)
     pairs = np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=2 * len(counts))
     observed = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
@@ -230,13 +233,14 @@ def bh_validate(
     """Benjamini-Hochberg control over all possible URL pairs.
 
     Pairs with p-values at or below the realized cutoff become validated
-    edges (ties at the boundary included).
+    edges (ties at the boundary included), in the order of ``tests``:
+    ascending (url_a, url_b) when they come from ``pair_pvalues``.
     """
     pvals = np.array([t.pvalue for t in tests], dtype=float)
     rank, threshold = bh_scan(pvals, alpha, n_hypotheses)
     edges = [
         (graph.url_ids[t.url_a], graph.url_ids[t.url_b], t.pvalue)
-        for t in sorted(tests, key=lambda t: (t.url_a, t.url_b))
+        for t in tests
         if rank and t.pvalue <= threshold
     ]
     return ValidatedNetwork(

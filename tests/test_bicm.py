@@ -54,6 +54,15 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             bicm.build_graph(build_corpus([]))
 
+    def test_ids_sorted_whatever_the_link_order(self):
+        links = [("u3", "a2"), ("u1", "a3"), ("u2", "a1"), ("u1", "a2")]
+        first = graph_from(links)
+        for order in itertools.permutations(links):
+            g = graph_from(order)
+            assert g.user_ids == ("u1", "u2", "u3")
+            assert g.url_ids == ("a1", "a2", "a3")
+            assert (g.biadjacency != first.biadjacency).nnz == 0
+
     def test_zero_degree_nodes_absent(self):
         g = graph_from([("u1", "a1")])
         assert g.user_ids == ("u1",)

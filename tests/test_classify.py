@@ -10,6 +10,7 @@ from trustnet.classify import (
     Stump,
     coverage,
     fit_stump,
+    labeled_samples,
     publisher_scores,
     stratified_cv,
     stratified_folds,
@@ -356,22 +357,23 @@ class TestWorthyList:
         )
         kb = KnowledgeBase(scores={"known-t.com": 90, "known-n.com": 20})
         voters = [profile("v1", 85.0), profile("v2", 25.0)]
-        return publisher_scores(voters, corpus, kb), kb
+        scores = publisher_scores(voters, corpus, kb)
+        return scores, fit_stump(labeled_samples(scores))
 
     def test_only_unclassified_listed(self):
-        scores, kb = self.make_scores()
-        entries = worthy_list(scores, kb)
+        scores, stump = self.make_scores()
+        entries = worthy_list(scores, stump)
         assert {e.domain for e in entries} == {"maybe.com", "mystery.com"}
 
     def test_ranked_by_voters_then_score(self):
-        scores, kb = self.make_scores()
-        entries = worthy_list(scores, kb)
+        scores, stump = self.make_scores()
+        entries = worthy_list(scores, stump)
         assert [e.domain for e in entries] == ["maybe.com", "mystery.com"]
         assert entries[0].n_voters == 2
 
     def test_predictions_follow_fitted_stump(self):
-        scores, kb = self.make_scores()
-        entries = {e.domain: e for e in worthy_list(scores, kb)}
+        scores, stump = self.make_scores()
+        entries = {e.domain: e for e in worthy_list(scores, stump)}
         # labeled publishers: known-t at 85, known-n at 85?? both voted by v1 only
         # v1 voted both labeled domains with value 85 -> stump degenerate there;
         # mystery.com scored 25 by v2
@@ -383,7 +385,8 @@ class TestWorthyList:
         )
         kb = KnowledgeBase(scores={"known-t.com": 90})
         scores = publisher_scores([profile("v1", 50.0)], corpus, kb)
-        assert worthy_list(scores, kb) == []
+        # one class only: no stump can be fit
+        assert worthy_list(scores, None) == []
 
     def test_prediction_below_threshold_is_untrustworthy(self):
         corpus = build_corpus(
@@ -396,6 +399,6 @@ class TestWorthyList:
         kb = KnowledgeBase(scores={"good.com": 95, "bad.com": 5})
         voters = [profile("hi", 90.0), profile("lo", 10.0), profile("lo2", 12.0)]
         scores = publisher_scores(voters, corpus, kb)
-        entries = worthy_list(scores, kb)
+        entries = worthy_list(scores, fit_stump(labeled_samples(scores)))
         assert entries[0].domain == "odd.com"
         assert entries[0].predicted is Label.N

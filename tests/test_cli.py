@@ -177,3 +177,20 @@ def test_invalid_synth_spec_fails_with_synth_code(tmp_path, capsys):
         "--p-in", "0.0",
     ])
     assert code == EXIT_CODES["synth"]
+
+
+def test_synth_flags_are_the_spec_fields():
+    from dataclasses import fields
+
+    from trustnet.cli import build_parser
+    from trustnet.synth import SyntheticSpec
+
+    parser = build_parser()
+    required = ["synth", "--out-posts", "p", "--out-kb", "k"]
+    args = vars(parser.parse_args(required))
+    flags = {k: v for k, v in args.items() if k not in ("command", "verbose", "out_posts", "out_kb")}
+    spec = {f.name: f.default for f in fields(SyntheticSpec) if not isinstance(f.default, tuple)}
+    assert flags == spec
+    for name, default in spec.items():
+        value = getattr(parser.parse_args([*required, "--" + name.replace("_", "-"), "3"]), name)
+        assert value == 3 and type(value) is type(default)

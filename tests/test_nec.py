@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -121,6 +122,30 @@ class TestModularity:
         net = make_network(clique(nodes))
         assignment = {u: i for i, u in enumerate(nodes)}
         assert nec.modularity(net, assignment) == pytest.approx(-0.2, abs=1e-12)
+
+    def test_matches_weighted_formula_on_random_partitions(self):
+        def weighted_oracle(weights, assignment):
+            two_m = 0.0
+            d_c, m_c = defaultdict(float), defaultdict(float)
+            for (a, b), w in weights.items():
+                two_m += 2.0 * w
+                ca, cb = assignment[a], assignment[b]
+                d_c[ca] += w
+                d_c[cb] += w
+                if ca == cb:
+                    m_c[ca] += w
+            m = two_m / 2.0
+            return sum(m_c[c] / m - (d_c[c] / two_m) ** 2 for c in d_c)
+
+        rng = random.Random(21)
+        for _ in range(200):
+            names = [f"n{i}" for i in range(rng.randint(2, 15))]
+            pairs = (tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(1, 40)))
+            edges = list(dict.fromkeys(pairs))
+            assignment = {u: rng.randrange(4) for u in names}
+            assert nec.modularity_of_edges(edges, assignment) == weighted_oracle(
+                dict.fromkeys(edges, 1.0), assignment
+            )
 
     def test_uncovered_node_rejected(self):
         net = make_network([("a", "b", 1e-3)])

@@ -4,6 +4,9 @@ import hashlib
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,28 @@ class TestDeterminism:
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_run_bytes_do_not_depend_on_the_hash_seed(self, inputs, tmp_path):
+        # str hashes, and so the order of sets of URLs, change with PYTHONHASHSEED
+        script = (
+            "import sys; from trustnet.pipeline import PipelineConfig, run_pipeline; "
+            "run_pipeline(PipelineConfig(posts=sys.argv[1], knowledge_base=sys.argv[2], "
+            "out_dir=sys.argv[3], theta_max=6))"
+        )
+        src = str(Path(pipeline.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
+        for seed, out in enumerate(outs):
+            subprocess.run(
+                [sys.executable, "-c", script, str(inputs / "posts.jsonl"),
+                 str(inputs / "kb.csv"), str(out)],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                check=True, timeout=300,
+            )
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+        assert files[0] == files[1] and files[0]
+        for rel in files[0]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
     def test_cached_stages_are_reused(self, inputs, tmp_path_factory, caplog):
         out = tmp_path_factory.mktemp("cache")
         config = make_config(inputs, out, theta_max=2)
@@ -246,6 +271,17 @@ class TestDeterminism:
             other = value[:-1] if isinstance(value, tuple) else value + 1
             changed = pipeline.stage_hashes(dataclasses.replace(config, **{f.name: other}))
             assert changed != hashes, f.name
+
+    def test_int_for_a_float_setting_hashes_like_the_float(self, inputs, tmp_path):
+        configs = []
+        for name, tol in (("int", 1), ("float", 1.0)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"solver_tol": tol}))
+            configs.append(PipelineConfig.from_file(
+                path, posts=str(inputs / "posts.jsonl"), knowledge_base=str(inputs / "kb.csv")
+            ))
+        assert type(configs[0].solver_tol) is float
+        assert pipeline.stage_hashes(configs[0]) == pipeline.stage_hashes(configs[1])
 
     def test_crash_before_meta_leaves_nothing_reusable(self, inputs, tmp_path, monkeypatch):
         # the S spec validates 49 edges at alpha 0.05 and 1 at 1e-4
@@ -575,3 +611,29 @@ def test_skipped_cv_warns_once_per_strategy(inputs, tmp_path, monkeypatch, caplo
         for s in config.strategies
     ]
     assert all(p["balanced_accuracy_mean"] is None for p in result.report["classify"]["sweep"])
+
+
+def test_one_stump_fit_per_strategy_outside_cv(inputs, tmp_path, monkeypatch):
+    from trustnet import classify
+
+    fit, cv = classify.fit_stump, classify.stratified_cv
+    in_cv, outside = [False], []
+
+    def counting_fit(samples):
+        if not in_cv[0]:
+            outside.append(len(samples))
+        return fit(samples)
+
+    def flagged_cv(*args, **kwargs):
+        in_cv[0] = True
+        try:
+            return cv(*args, **kwargs)
+        finally:
+            in_cv[0] = False
+
+    monkeypatch.setattr(classify, "fit_stump", counting_fit)
+    monkeypatch.setattr(classify, "stratified_cv", flagged_cv)
+    config = make_config(inputs, tmp_path / "run", theta_max=2)
+    run_pipeline(config)
+    # the stump behind scores_<s>.csv's predictions also predicts worthy_<s>.csv's
+    assert len(outside) == len(config.strategies)

@@ -328,6 +328,20 @@ class TestBhValidation:
             ia, ib = sorted((index[a], index[b]))
             assert counts[(ia, ib)] >= 1
 
+    def test_edges_in_ascending_url_index_order(self):
+        # three blocks of 4 URLs, each shared mostly by its own third of 100 users
+        rng = np.random.default_rng(14)
+        block = np.arange(100)[:, None] * 3 // 100 == np.arange(12)[None, :] // 4
+        adj = rng.random((100, 12)) < np.where(block, 0.8, 0.05)
+        links = [(f"u{i:03d}", f"a{j:02d}") for i, j in zip(*np.nonzero(adj))]
+        g = bicm.BipartiteGraph.from_links(links)
+        net = projection.validate_projection(g, bicm.solve(g))
+        index = g.url_index
+        pairs = [(index[a], index[b]) for a, b, _ in net.edges]
+        assert len(pairs) > 1
+        assert all(a < b for a, b in pairs)
+        assert pairs == sorted(pairs)
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(13)
         adj = rng.random((25, 10)) < 0.4
