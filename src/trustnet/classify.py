@@ -7,7 +7,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .ingest import Corpus, KnowledgeBase, Label
+from .ingest import Corpus, KnowledgeBase, Label, fold_sum
 from .voters import VoterProfile
 
 
@@ -77,13 +77,13 @@ class CvReport:
     @property
     def mean_balanced_accuracy(self) -> float:
         accs = self.balanced_accuracies
-        return sum(accs) / len(accs)
+        return fold_sum(accs) / len(accs)
 
     @property
     def std_balanced_accuracy(self) -> float:
         accs = self.balanced_accuracies
         mean = self.mean_balanced_accuracy
-        return (sum((a - mean) ** 2 for a in accs) / len(accs)) ** 0.5
+        return (fold_sum((a - mean) ** 2 for a in accs) / len(accs)) ** 0.5
 
 
 def publisher_scores(
@@ -104,7 +104,7 @@ def publisher_scores(
     return [
         PublisherScore(
             domain=pub,
-            score=sum(vals) / len(vals),
+            score=fold_sum(vals) / len(vals),
             n_voters=len(vals),
             kb_label=kb.label(pub),
         )

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from pathlib import Path
 from typing import Iterable
 from urllib.parse import urlsplit
@@ -105,6 +106,15 @@ class Corpus:
     @cached_property
     def user_publishers(self) -> dict[str, frozenset[str]]:
         return _group((user, pub) for user, _, pub in self.interactions)
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Float sum, added left to right; every float sum that reaches an artifact uses it.
+
+    The built-in ``sum`` of floats is compensated from Python 3.12 on, so its
+    last digits, and the artifact bytes, would depend on the interpreter.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def _group(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:

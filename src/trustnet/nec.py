@@ -12,7 +12,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ingest import Corpus, KnowledgeBase, Label
+from .ingest import Corpus, KnowledgeBase, Label, fold_sum
 from .projection import ValidatedNetwork
 
 UNCLUSTERED = -1
@@ -244,7 +244,7 @@ def modularity_of_edges(edges: list[tuple[str, str]], assignment: dict[str, int]
         if ca == cb:
             m_c[ca] += 1
     m = len(edges)
-    return sum(m_c[c] / m - (d_c[c] / (2 * m)) ** 2 for c in d_c)
+    return fold_sum(m_c[c] / m - (d_c[c] / (2 * m)) ** 2 for c in d_c)
 
 
 def modularity(network: ValidatedNetwork, assignment: dict[str, int]) -> float:

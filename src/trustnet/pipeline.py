@@ -4,15 +4,17 @@
 tag of its algorithm, the stages it reads, the settings its hash covers and
 the artifacts a rerun needs in order to reuse it. One runner walks it for
 every entry point: ``run_pipeline`` runs every stage, ``run_stages`` one
-target stage and the stages it reads (the CLI's stage subcommands), and
-``emit_figures`` checks the figure inputs with the same reuse test, then runs
-only the figures stage. The runner owns the reuse test (meta.json holds the
-stage's hash, and the artifacts exist), deletes meta.json before a recompute
-and writes it last, so a crash leaves nothing reusable, and wraps any
-failure in ``StageError``.
+target stage and the stages it reads (the CLI's stage subcommands and
+``emit_figures``, which first refuses a run whose figure inputs fail the
+reuse test). The runner owns the reuse test (meta.json holds the stage's
+hash, and the artifacts exist), deletes meta.json before a recompute and
+writes it last, so a crash leaves nothing reusable, and wraps any failure in
+``StageError``.
 Each ``stage_<name>(config, upstream, stage_dir, cached) -> (value, meta)``
-keeps only its compute, write and load body. The runner looks it up by name
-at call time, so a wrapper set on the module attribute sees every call.
+keeps only its compute, write and load body; ``cached`` is the meta.json the
+runner read, or None when the stage must recompute. The runner looks it up
+by name at call time, so a wrapper set on the module attribute sees every
+call.
 
 All outputs are plain CSV/JSON written deterministically: identical inputs,
 config and seeds yield byte-identical files.
@@ -229,7 +231,7 @@ def stage_bicm(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: 
     corpus, _ = upstream["ingest"]
     graph = bicm.build_graph(corpus)
     if cached is not None:
-        return (graph, load_model(stage_dir, graph)), cached
+        return (graph, load_model(stage_dir, graph, cached)), cached
     model = bicm.solve(graph, tol=config.solver_tol, max_iter=config.solver_max_iter)
     rows = [
         (uid, "user", int(graph.user_degrees[i]), float(model.x[i]))
@@ -251,8 +253,7 @@ def stage_bicm(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: 
     }
 
 
-def load_model(stage_dir: Path, graph: bicm.BipartiteGraph) -> bicm.BicmModel:
-    meta = _read_meta(stage_dir)
+def load_model(stage_dir: Path, graph: bicm.BipartiteGraph, meta: dict) -> bicm.BicmModel:
     fitness = {(row[1], row[0]): float(row[3]) for row in read_csv(stage_dir / "fitness.csv")}
     x = np.array([fitness[("user", u)] for u in graph.user_ids])
     y = np.array([fitness[("url", a)] for a in graph.url_ids])
@@ -276,15 +277,10 @@ def load_model(stage_dir: Path, graph: bicm.BipartiteGraph) -> bicm.BicmModel:
 def stage_projection(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     graph, model = upstream["bicm"]
     if cached is not None:
-        return load_validated(stage_dir, graph), cached
+        return load_validated(stage_dir, graph, cached), cached
     network = projection.validate_projection(graph, model, alpha=config.alpha)
     write_csv(stage_dir / "validated_edges.csv", ["url_a", "url_b", "pvalue"], network.edges)
-    return network, _projection_summary(network)
-
-
-def _projection_summary(network: projection.ValidatedNetwork) -> dict:
-    """The projection's figures, as its meta.json and report.json both carry them."""
-    return {
+    return network, {
         "alpha": network.alpha,
         "n_hypotheses": network.n_hypotheses,
         "n_tested": network.n_tested,
@@ -294,8 +290,8 @@ def _projection_summary(network: projection.ValidatedNetwork) -> dict:
     }
 
 
-def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph) -> projection.ValidatedNetwork:
-    meta = _read_meta(stage_dir)
+def load_validated(stage_dir: Path, graph: bicm.BipartiteGraph,
+                   meta: dict) -> projection.ValidatedNetwork:
     return projection.ValidatedNetwork(
         urls=graph.url_ids,
         edges=[(a, b, float(p)) for a, b, p in read_csv(stage_dir / "validated_edges.csv")],
@@ -314,7 +310,7 @@ NEC_SUMMARY_HEADER = tuple(f.name for f in fields(nec.NecRow))
 
 def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     if cached is not None:
-        return load_partition(stage_dir), cached
+        return load_partition(stage_dir, cached), cached
     corpus, kb = upstream["ingest"]
     partition = nec.louvain(upstream["projection"], seed=config.louvain_seed)
     write_csv(stage_dir / "partition.csv", ["url", "community"],
@@ -345,8 +341,7 @@ def load_nec_summary(stage_dir: Path) -> list[dict[str, int]]:
             for row in read_csv(stage_dir / "nec_summary.csv")]
 
 
-def load_partition(stage_dir: Path) -> nec.Partition:
-    meta = _read_meta(stage_dir)
+def load_partition(stage_dir: Path, meta: dict) -> nec.Partition:
     return nec.Partition(
         assignment={url: int(c) for url, c in read_csv(stage_dir / "partition.csv")},
         modularity=float(meta["modularity"]),
@@ -471,9 +466,7 @@ def compute_sweep(
 
 
 def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
-    """Value: (report section, sweep); a cached classify stage yields (None, its sweep)."""
-    if cached is not None:
-        return (None, load_sweep(stage_dir)), cached
+    """Value: (report section, sweep); every run recomputes it."""
     (corpus, kb), network, profiles = upstream["ingest"], upstream["projection"], upstream["voters"]
     results: dict = {"strategies": {}, "sweep": []}
     coverage_rows = []
@@ -576,23 +569,6 @@ FIGURE_FILES = (
 )
 
 
-def load_sweep(stage_dir: Path) -> list[SweepPoint]:
-    points = []
-    for row in read_csv(stage_dir / "sweep.csv"):
-        r = dict(zip(SWEEP_HEADER, row))
-        mean, std = r["balanced_accuracy_mean"], r["balanced_accuracy_std"]
-        points.append(SweepPoint(
-            strategy=r["strategy"],
-            theta=int(r["theta"]),
-            n_voters=int(r["n_voters"]),
-            covered={l.value: int(r[f"covered_{l.value}"]) for l in Label},
-            balanced_accuracy_mean=float(mean) if mean else None,
-            balanced_accuracy_std=float(std) if std else None,
-            knowledge=int(r["knowledge"]),
-        ))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # the stage table, hashes and the full run
 
@@ -619,7 +595,7 @@ STAGES = (
     Stage("voters", "1", ("ingest", "projection"), ("strategies", "theta_min", "theta_max"),
           lambda c: tuple(voter_table(s, t) for s in c.strategies for t in c.thetas())),
     # its report section is not persisted, so a run cannot reuse classify;
-    # emit_figures reuses its sweep
+    # emit_figures refuses a run whose classify meta and sweep are not current
     Stage("classify", "1", ("ingest", "projection", "voters"), ("cv_folds", "cv_seed"),
           lambda c: ("sweep.csv",), always_run=True),
     Stage("figures", "1", ("ingest", "nec", "classify"), (), lambda c: (), always_run=True),
@@ -702,21 +678,19 @@ def run_stages(config: PipelineConfig, target: str,
 
 
 def emit_figures(config: PipelineConfig) -> Path:
-    """Figure tables from a completed run's persisted stage artifacts.
+    """Rerun the figures stage of a completed run, as ``run_stages`` runs it.
 
-    A stage the figures read that is absent or stale under ``config`` is missing.
+    A stage the figures read that is absent or stale under ``config`` is
+    missing, and a run with a missing stage is refused with a ValueError.
     """
-    hashes = stage_hashes(config)
+    inputs = _input_hashes(config)
+    hashes = stage_hashes(config, inputs)
     figures = STAGES[-1]
-    inputs = [s for s in STAGES if s.name in figures.reads]
-    missing = [s.name for s in inputs if _reusable(s, config, hashes[s.name]) is None]
+    missing = [s.name for s in STAGES
+               if s.name in figures.reads and _reusable(s, config, hashes[s.name]) is None]
     if missing:
         raise ValueError(f"incomplete run, missing stages: {', '.join(missing)}")
-    values: dict = {}
-    for stage in (*inputs, figures):
-        values[stage.name], _ = _run_stage(
-            stage, config, values, hashes[stage.name], stage is not figures
-        )
+    run_stages(config, "figures", inputs)
     return Path(config.out_dir) / "figures"
 
 
@@ -762,7 +736,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "n_links": graph.n_links,
             "n_forced_links": len(model.forced_links),
         },
-        "projection": _projection_summary(network),
+        "projection": {k: v for k, v in metas["projection"].items() if k != "config_hash"},
         "nec": {
             "modularity": partition.modularity,
             "n_communities": len(partition.community_ids()),

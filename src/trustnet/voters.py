@@ -80,11 +80,7 @@ def characterize(
 
 
 def _mean_score(articles: set[str], corpus: Corpus, kb: KnowledgeBase) -> float | None:
-    scores = [
-        kb.score(corpus.url_publisher[url])
-        for url in articles
-        if kb.score(corpus.url_publisher[url]) is not None
-    ]
+    scores = [s for url in articles if (s := kb.score(corpus.url_publisher[url])) is not None]
     if not scores:
         return None
     return sum(scores) / len(scores)

@@ -17,6 +17,7 @@ from trustnet.ingest import (
     build_corpus,
     canonical_url,
     extract_domain,
+    fold_sum,
     load_knowledge_base,
     load_posts,
 )
@@ -30,6 +31,13 @@ def write_posts(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             fh.write((r if isinstance(r, str) else json.dumps(r)) + "\n")
+
+
+class TestFoldSum:
+    def test_adds_left_to_right_on_every_interpreter(self):
+        # a compensated sum (the built-in sum from Python 3.12 on) gives 1.0
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+        assert fold_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
 
 
 class TestLoadPosts:

@@ -194,6 +194,20 @@ class TestDeterminism:
         assert (out / "bicm" / "fitness.csv").stat().st_mtime_ns == stamp
         assert any("reusing cached" in m for m in caplog.messages)
 
+    def test_rerun_reads_each_checked_meta_once(self, inputs, tmp_path, monkeypatch):
+        config = make_config(inputs, tmp_path / "reads", theta_max=2)
+        first = run_pipeline(config)
+        read_meta, reads = pipeline._read_meta, []
+
+        def counting_read_meta(stage_dir):
+            reads.append(stage_dir.name)
+            return read_meta(stage_dir)
+
+        monkeypatch.setattr(pipeline, "_read_meta", counting_read_meta)
+        again = run_pipeline(config)
+        assert sorted(reads) == sorted(s.name for s in pipeline.STAGES if not s.always_run)
+        assert again.report == first.report
+
     def test_changing_alpha_invalidates_projection_only(self, inputs, tmp_path_factory):
         out = tmp_path_factory.mktemp("inval")
         config = make_config(inputs, out, theta_max=2)
@@ -338,7 +352,7 @@ class TestModelPersistence:
                 "forced_links": sorted([i, a] for i, a in model.forced_links),
             },
         )
-        loaded = pipeline.load_model(stage_dir, g)
+        loaded = pipeline.load_model(stage_dir, g, pipeline._read_meta(stage_dir))
         assert loaded.forced_links == model.forced_links
         assert np.array_equal(loaded.x, model.x)
         assert np.array_equal(loaded.y, model.y)
@@ -432,18 +446,28 @@ class TestFigureTables:
 
         result, config = run
         checked = 0
-        for point in pipeline.load_sweep(result.out_dir / "classify"):
-            if point.strategy == StrategyKind.DS_URL_NEC.value:
+        for point in result.report["classify"]["sweep"]:
+            if point["strategy"] == StrategyKind.DS_URL_NEC.value:
                 continue
             surviving = filter_min_publishers(
-                result.profiles[StrategyKind(point.strategy)], point.theta
+                result.profiles[StrategyKind(point["strategy"])], point["theta"]
             )
             pubs = {result.corpus.url_publisher[u] for v in surviving for u in v.articles}
-            assert point.knowledge == sum(
+            assert point["knowledge"] == sum(
                 1 for p in pubs if result.kb.label(p) is not Label.UNC
             )
             checked += 1
         assert checked == 3 * len(config.thetas())
+
+    def test_emit_figures_leaves_run_directory_byte_identical(self, run):
+        # emit_figures reruns classify and figures, so compare every file, not only figures/
+        _, config = run
+        files = sorted(p for p in Path(config.out_dir).rglob("*") if p.is_file())
+        before = {p: p.read_bytes() for p in files}
+        emit_figures(config)
+        assert sorted(p for p in Path(config.out_dir).rglob("*") if p.is_file()) == files
+        for path, blob in before.items():
+            assert path.read_bytes() == blob, path
 
     def test_emit_figures_matches_run_output(self, run, inputs, tmp_path_factory):
         result, config = run
