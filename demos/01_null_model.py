@@ -40,7 +40,7 @@ print("\nexpected user degrees:", np.round(p.sum(axis=1), 6))
 print("observed user degrees:", graph.user_degrees)
 
 # Drawing from the ensemble: each link is an independent coin flip.
-drawn = bicm.sample(model, seed=42)
+drawn = bicm.sample(graph, model, seed=42)
 print(f"\none sampled graph has {drawn.n_links} links")
-mean_links = np.mean([bicm.sample(model, seed=s).n_links for s in range(200)])
+mean_links = np.mean([bicm.sample(graph, model, seed=s).n_links for s in range(200)])
 print(f"mean links over 200 samples: {mean_links:.1f} (observed {graph.n_links})")

@@ -87,28 +87,17 @@ def build_graph(corpus) -> BipartiteGraph:
 class BicmModel:
     """Solved null model: fitness per node plus links pinned to probability 1.
 
-    A pinned (degenerate) node's fitness is stored as ``inf``; nodes whose
-    remaining degree was fully explained by pinned partners carry fitness 0.
+    Nodes are indexed as in the graph it was solved on, which owns the ids
+    and degrees. A pinned (degenerate) node's fitness is stored as ``inf``;
+    nodes whose remaining degree was fully explained by pinned partners carry
+    fitness 0.
     """
 
-    user_ids: tuple[str, ...]
-    url_ids: tuple[str, ...]
-    user_degrees: np.ndarray
-    url_degrees: np.ndarray
     x: np.ndarray
     y: np.ndarray
     forced_links: frozenset[tuple[int, int]]
     residual: float
     iterations: int
-    tol: float
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_ids)
-
-    @property
-    def n_urls(self) -> int:
-        return len(self.url_ids)
 
 
 def _reduce_degenerate(k: np.ndarray, d: np.ndarray):
@@ -281,24 +270,15 @@ def solve(graph: BipartiteGraph, tol: float = 1e-8, max_iter: int = 10_000) -> B
         y[a] = np.inf
 
     return BicmModel(
-        user_ids=graph.user_ids,
-        url_ids=graph.url_ids,
-        user_degrees=graph.user_degrees.copy(),
-        url_degrees=graph.url_degrees.copy(),
-        x=x,
-        y=y,
-        forced_links=frozenset(forced),
-        residual=residual,
-        iterations=iterations,
-        tol=tol,
+        x=x, y=y, forced_links=frozenset(forced), residual=residual, iterations=iterations
     )
 
 
 def link_probability(model: BicmModel, user: int, url: int) -> float:
     """Probability of the (user, url) link under the null model."""
-    if not 0 <= user < model.n_users:
+    if not 0 <= user < model.x.size:
         raise IndexError(f"user row {user} out of range")
-    if not 0 <= url < model.n_urls:
+    if not 0 <= url < model.y.size:
         raise IndexError(f"url column {url} out of range")
     if (user, url) in model.forced_links:
         return 1.0
@@ -328,21 +308,21 @@ def expected_degrees(model: BicmModel) -> tuple[np.ndarray, np.ndarray]:
     return p.sum(axis=1), p.sum(axis=0)
 
 
-def degree_residual(model: BicmModel) -> float:
-    """Max relative degree error recomputed from the full probability matrix."""
+def degree_residual(graph: BipartiteGraph, model: BicmModel) -> float:
+    """Max relative error of the graph's degrees, recomputed from the full probability matrix."""
     exp_k, exp_d = expected_degrees(model)
-    err_u = np.abs(exp_k - model.user_degrees) / model.user_degrees
-    err_a = np.abs(exp_d - model.url_degrees) / model.url_degrees
+    err_u = np.abs(exp_k - graph.user_degrees) / graph.user_degrees
+    err_a = np.abs(exp_d - graph.url_degrees) / graph.url_degrees
     return float(max(err_u.max(), err_a.max()))
 
 
-def sample(model: BicmModel, seed: int) -> BipartiteGraph:
-    """Draw one graph from the ensemble; each link is an independent Bernoulli."""
+def sample(graph: BipartiteGraph, model: BicmModel, seed: int) -> BipartiteGraph:
+    """Draw one graph from the ensemble of ``graph``; each link is an independent Bernoulli."""
     rng = np.random.default_rng(seed)
     p = probability_matrix(model)
     hits = rng.random(p.shape) < p
     rows, cols = np.nonzero(hits)
-    links = [(model.user_ids[i], model.url_ids[a]) for i, a in zip(rows, cols)]
+    links = [(graph.user_ids[i], graph.url_ids[a]) for i, a in zip(rows, cols)]
     if not links:
         return BipartiteGraph(
             user_ids=(),

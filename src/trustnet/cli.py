@@ -40,8 +40,7 @@ STAGE_COMMANDS = {
 }
 
 
-#: the SyntheticSpec fields ``synth`` takes as flags; the score ranges stay fixed
-SYNTH_FIELDS = tuple(f for f in fields(SyntheticSpec) if f.type in ("int", "float"))
+SYNTH_FIELDS = fields(SyntheticSpec)
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:

@@ -7,7 +7,7 @@ with respect to publisher trust labels, and per-community summary statistics.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -200,8 +200,8 @@ def _relabel(raw: dict[str, int], edges: list[tuple[str, str]]) -> dict[str, int
     """Contiguous ids from 0, largest community first; singletons merged away.
 
     A validated URL always has a neighbor, so a surviving singleton community
-    joins the neighboring community with the smallest Louvain id, however
-    many of its edges lead into each one.
+    joins the neighboring community with the largest modularity gain
+    ``e_xc - k_x * sigma_c / 2m``, ties to the smaller Louvain id.
     """
     groups: dict[int, set[str]] = defaultdict(set)
     for u, c in raw.items():
@@ -210,16 +210,24 @@ def _relabel(raw: dict[str, int], edges: list[tuple[str, str]]) -> dict[str, int
     for a, b in edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
+    sigma: dict[int, int] = defaultdict(int)  # total degree per community
+    for u, c in raw.items():
+        sigma[c] += len(nbrs[u])
+    two_m = 2 * len(edges)
     for c in sorted(groups, key=lambda c: min(groups[c])):
         if len(groups[c]) != 1:
             continue
         (lone,) = groups[c]
-        target = min((raw[v] for v in nbrs[lone] if raw[v] != c), default=None)
-        if target is None:
+        links = Counter(raw[v] for v in nbrs[lone] if raw[v] != c)
+        if not links:
             continue
+        k = len(nbrs[lone])
+        # the gain times 2m, an exact integer; max keeps the first, smallest id of a tie
+        target = max(sorted(links), key=lambda t: links[t] * two_m - k * sigma[t])
         groups[c].discard(lone)
         groups[target].add(lone)
         raw[lone] = target
+        sigma[target] += k
     ordered = sorted(
         (c for c in groups if groups[c]),
         key=lambda c: (-len(groups[c]), min(groups[c])),

@@ -183,7 +183,7 @@ def _read_meta(stage_dir: Path) -> dict | None:
 def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
     kb = load_knowledge_base(config.knowledge_base)
     if cached is not None:
-        return (load_corpus(stage_dir), kb), cached
+        return (load_corpus(stage_dir, cached), kb), cached
     posts, malformed = load_posts(config.posts)
     corpus = build_corpus(posts)
     if not corpus.interactions:
@@ -210,7 +210,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     }
 
 
-def load_corpus(stage_dir: Path) -> Corpus:
+def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
     interactions: set[tuple[str, str, str]] = set()
     url_publisher: dict[str, str] = {}
     for user, url, publisher in read_csv(stage_dir / "interactions.csv"):
@@ -221,6 +221,7 @@ def load_corpus(stage_dir: Path) -> Corpus:
         interactions=interactions,
         share_events=share_events,
         url_publisher=url_publisher,
+        skipped_urls=int(meta["n_skipped_urls"]),
     )
 
 
@@ -258,16 +259,11 @@ def load_model(stage_dir: Path, graph: bicm.BipartiteGraph, meta: dict) -> bicm.
     x = np.array([fitness[("user", u)] for u in graph.user_ids])
     y = np.array([fitness[("url", a)] for a in graph.url_ids])
     return bicm.BicmModel(
-        user_ids=graph.user_ids,
-        url_ids=graph.url_ids,
-        user_degrees=graph.user_degrees.copy(),
-        url_degrees=graph.url_degrees.copy(),
         x=x,
         y=y,
         forced_links=frozenset((int(i), int(a)) for i, a in meta["forced_links"]),
         residual=float(meta["residual"]),
         iterations=int(meta["iterations"]),
-        tol=float(meta["tol"]),
     )
 
 
@@ -372,10 +368,7 @@ def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
             write_csv(
                 stage_dir / voter_table(kind.value, theta),
                 ["user_id", "strategy", "value", "diet", "n_articles"],
-                [
-                    (v.user_id, v.strategy.value, v.value, v.diet, len(v.articles))
-                    for v in surviving
-                ],
+                [(v.user_id, kind.value, v.value, v.diet, v.n_articles) for v in surviving],
             )
     return profiles, {
         "strategies": [k.value for k in profiles],
@@ -590,7 +583,7 @@ STAGES = (
           lambda c: ("fitness.csv",)),
     Stage("projection", "degree-class-1", ("bicm",), ("alpha",),
           lambda c: ("validated_edges.csv",)),
-    Stage("nec", "1", ("ingest", "projection"), ("louvain_seed",),
+    Stage("nec", "2", ("ingest", "projection"), ("louvain_seed",),
           lambda c: ("partition.csv", "nec_summary.csv", "purity.csv")),
     Stage("voters", "1", ("ingest", "projection"), ("strategies", "theta_min", "theta_max"),
           lambda c: tuple(voter_table(s, t) for s in c.strategies for t in c.thetas())),

@@ -17,6 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+#: inclusive KB score ranges of the two publisher pools
+SCORE_RANGE_HIGH = (70, 95)
+SCORE_RANGE_LOW = (10, 50)
+
 
 @dataclass
 class SyntheticSpec:
@@ -28,8 +32,6 @@ class SyntheticSpec:
     unc_fraction: float = 0.2
     seed: int = 7
     publisher_focus: float = 0.2
-    score_range_high: tuple[int, int] = (70, 95)
-    score_range_low: tuple[int, int] = (10, 50)
 
     def validate(self) -> None:
         if not self.p_in > self.p_out >= 0:
@@ -58,8 +60,8 @@ def generate_synthetic(
     rng = np.random.default_rng(spec.seed)
     n_pool = spec.publishers_per_pool
     n_pub = 2 * n_pool
-    lo_h, hi_h = spec.score_range_high
-    lo_l, hi_l = spec.score_range_low
+    lo_h, hi_h = SCORE_RANGE_HIGH
+    lo_l, hi_l = SCORE_RANGE_LOW
     scores = np.concatenate([
         rng.integers(lo_h, hi_h + 1, size=n_pool),
         rng.integers(lo_l, hi_l + 1, size=n_pool),
@@ -73,7 +75,6 @@ def generate_synthetic(
     share_prob = spec.p_in / spec.publisher_focus
     n_users = 2 * spec.users_per_block
     posts = []
-    post_no = 0
     for user in range(n_users):
         block = 0 if user < spec.users_per_block else 1
         own = np.arange(block * n_pool, (block + 1) * n_pool)
@@ -83,12 +84,10 @@ def generate_synthetic(
             hits = np.where(rng.random(spec.urls_per_publisher) < share_prob)[0]
             for article in hits:
                 posts.append((user, int(pub), int(article)))
-                post_no += 1
         for pub in other:
             hits = np.where(rng.random(spec.urls_per_publisher) < spec.p_out)[0]
             for article in hits:
                 posts.append((user, int(pub), int(article)))
-                post_no += 1
 
     posts_path = Path(posts_path)
     kb_path = Path(kb_path)

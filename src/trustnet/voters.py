@@ -27,8 +27,7 @@ ALL_STRATEGIES = tuple(StrategyKind)
 @dataclass
 class VoterProfile:
     user_id: str
-    strategy: StrategyKind
-    articles: frozenset[str]
+    n_articles: int  # articles feeding ``value``
     value: float | None
     diet: int
 
@@ -42,12 +41,12 @@ def discussion_supporters(corpus: Corpus, validated: ValidatedNetwork) -> set[st
 def select_voters(
     strategy: StrategyKind, corpus: Corpus, validated: ValidatedNetwork
 ) -> set[str]:
+    if strategy is StrategyKind.USERS_ALL:
+        return set(corpus.users)
     ds = discussion_supporters(corpus, validated)
-    if strategy in (StrategyKind.DS_URL_NEC, StrategyKind.DS_ALL):
-        return ds
     if strategy is StrategyKind.DS_ALL_WO_USR_NEC:
         return set(corpus.users - ds)
-    return set(corpus.users)
+    return ds
 
 
 def article_set(
@@ -109,8 +108,7 @@ def build_voter_profiles(
         profiles.append(
             VoterProfile(
                 user_id=user,
-                strategy=strategy,
-                articles=articles,
+                n_articles=len(articles),
                 value=_mean_score(articles, corpus, kb),
                 diet=len(corpus.user_publishers[user]),
             )

@@ -72,7 +72,7 @@ def test_criterion_01_bicm_degree_reproduction():
         model = bicm.solve(graph, tol=1e-8)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"solve took {elapsed:.1f}s on {n}x{m}"
-        assert bicm.degree_residual(model) <= 1e-6
+        assert bicm.degree_residual(graph, model) <= 1e-6
 
 
 def test_criterion_02_bicm_ensemble_enumeration():
@@ -279,8 +279,7 @@ def test_criterion_07_worked_arithmetic():
     voters = [
         VoterProfile(
             user_id=f"v{i:02d}",
-            strategy=StrategyKind.USERS_ALL,
-            articles=frozenset({"https://pub.com/article"}),
+            n_articles=1,
             value=75.0 if i < 5 else 60.0,
             diet=1,
         )

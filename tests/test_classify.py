@@ -17,17 +17,11 @@ from trustnet.classify import (
     worthy_list,
 )
 from trustnet.ingest import KnowledgeBase, Label, RawPost, build_corpus
-from trustnet.voters import StrategyKind, VoterProfile
+from trustnet.voters import VoterProfile
 
 
-def profile(user, value, articles=(), diet=1):
-    return VoterProfile(
-        user_id=user,
-        strategy=StrategyKind.USERS_ALL,
-        articles=frozenset(articles),
-        value=value,
-        diet=diet,
-    )
+def profile(user, value, n_articles=1, diet=1):
+    return VoterProfile(user_id=user, n_articles=n_articles, value=value, diet=diet)
 
 
 def single_publisher_corpus(n_voters, domain="pub.com"):
@@ -94,8 +88,8 @@ class TestPublisherScores:
         corpus = build_corpus(posts)
         kb = KnowledgeBase(scores={"a.com": 20, "b.com": 80})
         voters = [
-            profile("v00", 50.0, articles=["https://a.com/x", "https://b.com/y"]),
-            profile("v01", 20.0, articles=["https://a.com/x"]),
+            profile("v00", 50.0, n_articles=2),
+            profile("v01", 20.0, n_articles=1),
         ]
         default = {s.domain: s for s in publisher_scores(voters, corpus, kb)}
         assert default["a.com"].score == 35.0  # (50 + 20) / 2, leakage retained

@@ -105,6 +105,31 @@ class TestLouvain:
         assert parts[0] == parts[1] == parts[2]
 
 
+class TestRelabel:
+    def test_singleton_joins_the_neighbour_with_the_largest_gain(self):
+        # x has two edges into community 5 and one into community 3, the smaller id
+        raw = {"x": 0, "a1": 5, "a2": 5, "a3": 5, "b1": 3, "b2": 3}
+        edges = [("a1", "x"), ("a2", "x"), ("b1", "x"), ("a1", "a2"), ("a2", "a3"), ("b1", "b2")]
+        final = nec._relabel(raw, edges)
+        assert final["x"] == final["a1"] != final["b1"]
+        assert nec.modularity_of_edges(edges, final) == pytest.approx(5 / 24)  # 1/6 via b
+
+    def test_equal_gains_go_to_the_smaller_louvain_id(self):
+        raw = {"x": 0, "a1": 5, "a2": 5, "b1": 3, "b2": 3}
+        edges = [("a1", "x"), ("b1", "x"), ("a1", "a2"), ("b1", "b2")]
+        final = nec._relabel(raw, edges)
+        assert final["x"] == final["b1"] != final["a1"]
+
+    def test_a_merge_updates_the_target_degree(self):
+        # x1 ties and joins 3; 3's total degree then grows, so x2 prefers 5
+        raw = {"x1": 0, "x2": 1, "a1": 5, "a2": 5, "b1": 3, "b2": 3}
+        edges = [("a1", "x1"), ("b1", "x1"), ("a2", "x2"), ("b2", "x2"),
+                 ("a1", "a2"), ("b1", "b2")]
+        final = nec._relabel(raw, edges)
+        assert final["x1"] == final["b1"]
+        assert final["x2"] == final["a1"] != final["b1"]
+
+
 class TestModularity:
     def test_single_community_connected_graph_is_zero(self):
         net = make_network(clique([f"n{i}" for i in range(4)]))

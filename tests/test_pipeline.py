@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +69,11 @@ PINS = {
     ("bicm", "1"): "0fee5f3649935debd1e54435a6c67a2e70bced57e03070b0b0f8973a10d122da",
     ("projection", "degree-class-1"):
         "89369fb5f1a3ac8293429c3bb29d5ee9b4cc679e040c3b1cbf16ab26dc1d15b2",
-    ("nec", "1"): "4829daba0e741de4da6248bb54fe1e809a75c971cffb0163b1696ae0c2bbdbb3",
+    ("nec", "2"): "4829daba0e741de4da6248bb54fe1e809a75c971cffb0163b1696ae0c2bbdbb3",
     ("voters", "1"): "f29f3a755355c168e1ea9f95c5977aa32456e43bd99aba2d743ce166d8849294",
     ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
     ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
-    "report.json": "630bc721170ad663180b55e4ac602ce048ce644e6df51a201dce346a2d1a2413",
+    "report.json": "81e5f845463d87a4816ce3162dd7adad108c9123f7d076d109942621ed4e070c",
 }
 
 
@@ -147,6 +148,23 @@ class TestRunArtifacts:
         result, _ = run
         assert set(result.partition.assignment) == result.corpus.articles
 
+    def test_every_community_is_connected(self, run):
+        # Louvain can leave a community disconnected (Traag et al., Sci. Rep. 9:5233)
+        result, _ = run
+        nbrs = defaultdict(set)
+        for a, b, _ in result.network.edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for c in result.partition.community_ids():
+            members = result.partition.members(c)
+            start = min(members)
+            seen, stack = {start}, [start]
+            while stack:
+                for v in nbrs[stack.pop()] & members - seen:
+                    seen.add(v)
+                    stack.append(v)
+            assert seen == members, f"community {c} is not connected"
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, inputs, tmp_path_factory):
@@ -193,6 +211,18 @@ class TestDeterminism:
             run_pipeline(config)
         assert (out / "bicm" / "fitness.csv").stat().st_mtime_ns == stamp
         assert any("reusing cached" in m for m in caplog.messages)
+
+    def test_reused_ingest_keeps_the_skipped_url_count(self, inputs, tmp_path, caplog):
+        hostless = {"kind": "original", "post_id": "hostless", "timestamp": 0,
+                    "urls": ["notaurl"], "user_id": "u0000"}
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text((inputs / "posts.jsonl").read_text() + json.dumps(hostless) + "\n")
+        config = make_config(inputs, tmp_path / "out", posts=str(posts), theta_max=2)
+        assert run_pipeline(config).corpus.skipped_urls == 1
+        with caplog.at_level(logging.INFO):
+            rerun = run_pipeline(config)
+        assert "ingest: reusing cached artifacts" in caplog.messages
+        assert rerun.corpus.skipped_urls == 1
 
     def test_rerun_reads_each_checked_meta_once(self, inputs, tmp_path, monkeypatch):
         config = make_config(inputs, tmp_path / "reads", theta_max=2)
@@ -346,7 +376,6 @@ class TestModelPersistence:
             stage_dir / "meta.json",
             {
                 "config_hash": "x",
-                "tol": model.tol,
                 "iterations": model.iterations,
                 "residual": model.residual,
                 "forced_links": sorted([i, a] for i, a in model.forced_links),
@@ -452,7 +481,8 @@ class TestFigureTables:
             surviving = filter_min_publishers(
                 result.profiles[StrategyKind(point["strategy"])], point["theta"]
             )
-            pubs = {result.corpus.url_publisher[u] for v in surviving for u in v.articles}
+            # these strategies characterize a voter by everything they shared
+            pubs = set().union(*(result.corpus.user_publishers[v.user_id] for v in surviving))
             assert point["knowledge"] == sum(
                 1 for p in pubs if result.kb.label(p) is not Label.UNC
             )
@@ -661,3 +691,29 @@ def test_one_stump_fit_per_strategy_outside_cv(inputs, tmp_path, monkeypatch):
     run_pipeline(config)
     # the stump behind scores_<s>.csv's predictions also predicts worthy_<s>.csv's
     assert len(outside) == len(config.strategies)
+
+
+def test_benchmark_tracer_counts_a_run(inputs, tmp_path, monkeypatch):
+    """perfbench wraps trustnet's module attributes and counts their results.
+
+    A traced name that is gone, a call the wrapper no longer sees, or a return
+    type its counter cannot read would break the benchmark's records.
+    """
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_pipeline(make_config(inputs, tmp_path / "run", theta_max=2))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert tracer.count_errors == []
+    # a cold run loads nothing from a cache; every other layer is seen
+    assert {s.name for s in tracer.spans} == set(tracing.TIMES) - {"pipeline.load_s"}
+    assert counts["bicm.users"] > 0 and counts["projection.edges"] > 0

@@ -168,11 +168,8 @@ class TestPairPvalue:
         # 15 users with link probabilities 0.17-0.23: co-share chances 0.03-0.05
         n = 15
         model = bicm.BicmModel(
-            user_ids=tuple(f"u{i}" for i in range(n)), url_ids=("a", "b"),
-            user_degrees=np.ones(n, dtype=np.int64),
-            url_degrees=np.full(2, 2, dtype=np.int64),
             x=np.linspace(0.2, 0.3, n), y=np.ones(2), forced_links=frozenset(),
-            residual=0.0, iterations=0, tol=1e-8,
+            residual=0.0, iterations=0,
         )
         q = bicm.probability_matrix(model)[:, 0] ** 2
         oracle = tail_by_enumeration(q, 14)

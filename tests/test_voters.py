@@ -67,6 +67,16 @@ class TestSelectVoters:
         }
         assert select_voters(StrategyKind.USERS_ALL, corpus, network) == corpus.users
 
+    def test_users_all_needs_no_discussion_supporters(self, monkeypatch):
+        from trustnet import voters
+
+        def refuse(*args):
+            raise AssertionError("USERS-ALL built the discussion supporters")
+
+        monkeypatch.setattr(voters, "discussion_supporters", refuse)
+        corpus, network = fixture_corpus()
+        assert select_voters(StrategyKind.USERS_ALL, corpus, network) == corpus.users
+
     def test_complement_empty_when_everyone_supports(self):
         posts = [
             RawPost("p1", "u1", 0.0, (VAL_A,), "original"),
@@ -198,7 +208,8 @@ class TestBuildProfiles:
         corpus, network = fixture_corpus()
         kb = KnowledgeBase(scores={"x.com": 80})
         profiles = build_voter_profiles(StrategyKind.DS_URL_NEC, corpus, network, kb)
-        assert all(v.articles <= {VAL_A, VAL_B} for v in profiles)
+        # only VAL_A and VAL_B are validated: alice shared both, bob one
+        assert {v.user_id: v.n_articles for v in profiles} == {"alice": 2, "bob": 1}
 
     def test_value_none_when_only_unclassified(self):
         corpus, network = fixture_corpus()
