@@ -631,12 +631,15 @@ def _reusable(stage: Stage, config: PipelineConfig, stage_hash: str) -> dict | N
 
 
 def _run_stage(stage: Stage, config: PipelineConfig, values: dict,
-               stage_hash: str, reuse: bool) -> tuple[object, dict]:
-    """Load or compute one stage; (value, meta). Any failure raises StageError."""
+               stage_hash: str, checked: dict | None) -> tuple[object, dict]:
+    """Load or compute one stage; (value, meta). Any failure raises StageError.
+
+    ``checked`` is the stage's meta if the caller has already found it reusable.
+    """
     started = time.perf_counter()
     stage_dir = Path(config.out_dir) / stage.name
     try:
-        cached = _reusable(stage, config, stage_hash) if reuse else None
+        cached = None if stage.always_run else checked or _reusable(stage, config, stage_hash)
         if cached is not None:
             log.info("%s: reusing cached artifacts", stage.name)
         else:
@@ -653,9 +656,12 @@ def _run_stage(stage: Stage, config: PipelineConfig, values: dict,
     return value, meta
 
 
-def run_stages(config: PipelineConfig, target: str,
-               inputs: list[str] | None = None) -> tuple[dict, dict, dict]:
-    """Run ``target`` and every stage it reads, in table order; (values, metas, hashes)."""
+def run_stages(config: PipelineConfig, target: str, inputs: list[str] | None = None,
+               checked: dict[str, dict] | None = None) -> tuple[dict, dict, dict]:
+    """Run ``target`` and every stage it reads, in table order; (values, metas, hashes).
+
+    ``checked`` maps stage names to metas the caller has already found reusable.
+    """
     hashes = stage_hashes(config, inputs)
     needed = {target}
     for stage in reversed(STAGES):
@@ -665,7 +671,7 @@ def run_stages(config: PipelineConfig, target: str,
     for stage in STAGES:
         if stage.name in needed:
             values[stage.name], metas[stage.name] = _run_stage(
-                stage, config, values, hashes[stage.name], not stage.always_run
+                stage, config, values, hashes[stage.name], (checked or {}).get(stage.name)
             )
     return values, metas, hashes
 
@@ -679,11 +685,12 @@ def emit_figures(config: PipelineConfig) -> Path:
     inputs = _input_hashes(config)
     hashes = stage_hashes(config, inputs)
     figures = STAGES[-1]
-    missing = [s.name for s in STAGES
-               if s.name in figures.reads and _reusable(s, config, hashes[s.name]) is None]
+    checked = {s.name: _reusable(s, config, hashes[s.name])
+               for s in STAGES if s.name in figures.reads}
+    missing = [name for name, meta in checked.items() if meta is None]
     if missing:
         raise ValueError(f"incomplete run, missing stages: {', '.join(missing)}")
-    run_stages(config, "figures", inputs)
+    run_stages(config, "figures", inputs, checked)
     return Path(config.out_dir) / "figures"
 
 

@@ -12,13 +12,13 @@ convolution of one Binomial(n_c, q_c) per user class c. One pmf per class
 pair serves every URL pair in it, and the tail at the observed count is
 summed directly, so far-tail p-values keep their relative precision. The
 p-values go through a Benjamini-Hochberg scan sized to all possible URL
-pairs; surviving pairs form the validated monopartite URL network.
+pairs; surviving pairs form the validated monopartite URL network. Pairs stay
+numpy arrays from the count to that cut: only validated edges become tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +35,23 @@ class PairTest:
     url_b: int
     observed: int
     pvalue: float
+
+
+@dataclass(frozen=True)
+class PairTests:
+    """Tests as parallel arrays, one entry per pair; iterating yields ``PairTest``s."""
+
+    url_a: np.ndarray
+    url_b: np.ndarray
+    observed: np.ndarray
+    pvalue: np.ndarray
+
+    def __len__(self) -> int:
+        return self.pvalue.size
+
+    def __iter__(self):
+        columns = (self.url_a, self.url_b, self.observed, self.pvalue)
+        return map(PairTest, *(c.tolist() for c in columns))
 
 
 @dataclass
@@ -61,16 +78,16 @@ class ValidatedNetwork:
         return len(self.edges)
 
 
-def cooccurrences(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """Count common users for every URL column pair, sparse on pairs >= 1.
+def cooccurrences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Common users of every URL column pair that has any, as int64 arrays.
 
-    Keys are (column_a, column_b) with a < b, in ascending order.
+    Returns (url_a, url_b, observed) with url_a < url_b, ascending by (url_a, url_b).
     """
     adj = graph.biadjacency.astype(np.int32)
     overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
     overlap.sort_indices()
     pairs = overlap.tocoo()
-    return dict(zip(zip(pairs.row.tolist(), pairs.col.tolist()), pairs.data.tolist()))
+    return tuple(a.astype(np.int64) for a in (pairs.row, pairs.col, pairs.data))
 
 
 def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:
@@ -191,20 +208,18 @@ def pair_pvalue(model: BicmModel, pair: tuple[int, int], observed: int) -> PairT
     return PairTest(url_a=a, url_b=b, observed=observed, pvalue=poisson_binomial_tail(q, observed))
 
 
-def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> list[PairTest]:
+def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> PairTests:
     """Tests for every co-occurring URL pair; one pmf serves each URL-class pair.
 
     The tests come in ascending (url_a, url_b) order, as ``cooccurrences`` gives the pairs.
     """
-    counts = cooccurrences(graph)
-    pairs = np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=2 * len(counts))
-    observed = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    url_a, url_b, observed = cooccurrences(graph)
     p, sizes, url_cls = _class_probabilities(model)
-    ends = np.sort(url_cls[pairs.reshape(-1, 2)], axis=1)
+    ca, cb = url_cls[url_a], url_cls[url_b]
     n_cls = p.shape[1]
-    keys, rows = np.unique(ends[:, 0] * n_cls + ends[:, 1], return_inverse=True)
+    keys, rows = np.unique(np.minimum(ca, cb) * n_cls + np.maximum(ca, cb), return_inverse=True)
     tails = class_tails((p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, observed)
-    return [PairTest(a, b, k, t) for (a, b), k, t in zip(counts, observed.tolist(), tails.tolist())]
+    return PairTests(url_a, url_b, observed, tails)
 
 
 def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, float]:
@@ -228,7 +243,7 @@ def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, 
 
 
 def bh_validate(
-    tests: list[PairTest], alpha: float, n_hypotheses: int, graph: BipartiteGraph
+    tests: PairTests, alpha: float, n_hypotheses: int, graph: BipartiteGraph
 ) -> ValidatedNetwork:
     """Benjamini-Hochberg control over all possible URL pairs.
 
@@ -236,13 +251,11 @@ def bh_validate(
     edges (ties at the boundary included), in the order of ``tests``:
     ascending (url_a, url_b) when they come from ``pair_pvalues``.
     """
-    pvals = np.array([t.pvalue for t in tests], dtype=float)
-    rank, threshold = bh_scan(pvals, alpha, n_hypotheses)
-    edges = [
-        (graph.url_ids[t.url_a], graph.url_ids[t.url_b], t.pvalue)
-        for t in tests
-        if rank and t.pvalue <= threshold
-    ]
+    _, threshold = bh_scan(tests.pvalue, alpha, n_hypotheses)
+    keep = tests.pvalue <= threshold  # with no rejection no p-value is 0, so cutoff 0.0 keeps none
+    a, b, pv = (c[keep].tolist() for c in (tests.url_a, tests.url_b, tests.pvalue))
+    ids = graph.url_ids
+    edges = [(ids[i], ids[j], t) for i, j, t in zip(a, b, pv)]
     return ValidatedNetwork(
         urls=graph.url_ids,
         edges=edges,

@@ -138,7 +138,8 @@ class TestRunArtifacts:
         from trustnet import projection
 
         result, _ = run
-        counts = projection.cooccurrences(result.graph)
+        url_a, url_b, observed = projection.cooccurrences(result.graph)
+        counts = dict(zip(zip(url_a.tolist(), url_b.tolist()), observed.tolist()))
         index = result.graph.url_index
         for a, b, _ in result.network.edges:
             ia, ib = sorted((index[a], index[b]))
@@ -164,6 +165,18 @@ class TestRunArtifacts:
                     seen.add(v)
                     stack.append(v)
             assert seen == members, f"community {c} is not connected"
+
+
+def count_meta_reads(monkeypatch) -> list[str]:
+    """Stage directory names, one per ``pipeline._read_meta`` call from now on."""
+    read_meta, reads = pipeline._read_meta, []
+
+    def counting_read_meta(stage_dir):
+        reads.append(stage_dir.name)
+        return read_meta(stage_dir)
+
+    monkeypatch.setattr(pipeline, "_read_meta", counting_read_meta)
+    return reads
 
 
 class TestDeterminism:
@@ -227,16 +240,18 @@ class TestDeterminism:
     def test_rerun_reads_each_checked_meta_once(self, inputs, tmp_path, monkeypatch):
         config = make_config(inputs, tmp_path / "reads", theta_max=2)
         first = run_pipeline(config)
-        read_meta, reads = pipeline._read_meta, []
-
-        def counting_read_meta(stage_dir):
-            reads.append(stage_dir.name)
-            return read_meta(stage_dir)
-
-        monkeypatch.setattr(pipeline, "_read_meta", counting_read_meta)
+        reads = count_meta_reads(monkeypatch)
         again = run_pipeline(config)
         assert sorted(reads) == sorted(s.name for s in pipeline.STAGES if not s.always_run)
         assert again.report == first.report
+
+    def test_emit_figures_reads_each_meta_once(self, inputs, tmp_path, monkeypatch):
+        config = make_config(inputs, tmp_path / "reads", theta_max=2)
+        run_pipeline(config)
+        reads = count_meta_reads(monkeypatch)
+        emit_figures(config)
+        # its refusal check reads ingest, nec and classify; the runner the other reused stages
+        assert sorted(reads) == ["bicm", "classify", "ingest", "nec", "projection", "voters"]
 
     def test_changing_alpha_invalidates_projection_only(self, inputs, tmp_path_factory):
         out = tmp_path_factory.mktemp("inval")
@@ -709,11 +724,13 @@ def test_benchmark_tracer_counts_a_run(inputs, tmp_path, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_pipeline(make_config(inputs, tmp_path / "run", theta_max=2))
+        result = run_pipeline(make_config(inputs, tmp_path / "run", theta_max=2))
     finally:
         tracer.uninstall()
     counts = tracer.counts()
     assert tracer.count_errors == []
+    json.dumps(counts)  # the benchmark writes them as JSON: numpy scalars would fail here
+    assert counts["projection.pairs_tested"] == result.report["projection"]["n_tested"]
     # a cold run loads nothing from a cache; every other layer is seen
     assert {s.name for s in tracer.spans} == set(tracing.TIMES) - {"pipeline.load_s"}
     assert counts["bicm.users"] > 0 and counts["projection.edges"] > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from trustnet import bicm, projection
 
@@ -100,16 +101,24 @@ class TestPoissonBinomialTail:
             assert t == pytest.approx(tail_by_enumeration(expanded, k), abs=1e-12)
 
 
+def counts_of(graph):
+    """``cooccurrences`` as a {(url_a, url_b): observed} dict, in its order."""
+    url_a, url_b, observed = projection.cooccurrences(graph)
+    return dict(zip(zip(url_a.tolist(), url_b.tolist()), observed.tolist()))
+
+
 class TestCooccurrences:
     def test_disjoint_audiences_absent(self):
         g = bicm.BipartiteGraph.from_links([("u1", "a"), ("u2", "b")])
-        assert projection.cooccurrences(g) == {}
+        assert [c.size for c in projection.cooccurrences(g)] == [0, 0, 0]
 
     def test_shared_pair_counted(self):
         g = bicm.BipartiteGraph.from_links(
             [("u1", "a"), ("u1", "b"), ("u2", "a"), ("u2", "b")]
         )
-        assert projection.cooccurrences(g) == {(0, 1): 2}
+        columns = projection.cooccurrences(g)
+        assert [c.tolist() for c in columns] == [[0], [1], [2]]
+        assert all(c.dtype == np.int64 for c in columns)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -126,7 +135,7 @@ class TestCooccurrences:
                     c = int(np.sum(dense[:, a] & dense[:, b]))
                     if c:
                         expected[(a, b)] = c
-            got = projection.cooccurrences(g)
+            got = counts_of(g)
             assert got == expected
             assert list(got) == sorted(expected)
 
@@ -182,7 +191,7 @@ def expanded_tails_agree(graph, model):
     """Every pair's class-reduced tail equals the per-user tail of its pair."""
     p = bicm.probability_matrix(model)
     tests = projection.pair_pvalues(graph, model)
-    assert [(t.url_a, t.url_b) for t in tests] == sorted(projection.cooccurrences(graph))
+    assert [(t.url_a, t.url_b) for t in tests] == sorted(counts_of(graph))
     for t in tests:
         q = p[:, t.url_a] * p[:, t.url_b]
         assert t.pvalue == pytest.approx(
@@ -192,6 +201,30 @@ def expanded_tails_agree(graph, model):
             assert t.pvalue == pytest.approx(tail_by_enumeration(q, t.observed), abs=1e-12)
         single = projection.pair_pvalue(model, (t.url_a, t.url_b), t.observed)
         assert single.pvalue == pytest.approx(t.pvalue, rel=1e-12)
+
+
+def pair_tests_oracle(graph, model):
+    """``pair_pvalues`` built through a pair dict and one ``PairTest`` per pair."""
+    adj = graph.biadjacency.astype(np.int32)
+    overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
+    overlap.sort_indices()
+    pairs = overlap.tocoo()
+    counts = dict(zip(zip(pairs.row.tolist(), pairs.col.tolist()), pairs.data.tolist()))
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(counts), dtype=np.int64, count=2 * len(counts)
+    )
+    observed = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    p, sizes, url_cls = projection._class_probabilities(model)
+    ends = np.sort(url_cls[pairs.reshape(-1, 2)], axis=1)
+    n_cls = p.shape[1]
+    keys, rows = np.unique(ends[:, 0] * n_cls + ends[:, 1], return_inverse=True)
+    tails = projection.class_tails(
+        (p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, observed
+    )
+    return [
+        projection.PairTest(a, b, k, t)
+        for (a, b), k, t in zip(counts, observed.tolist(), tails.tolist())
+    ]
 
 
 def graph_of(adj):
@@ -248,6 +281,26 @@ class TestClassReduction:
         except bicm.ConvergenceError:
             return
         expanded_tails_agree(g, model)
+        got = list(projection.pair_pvalues(g, model))
+        oracle = pair_tests_oracle(g, model)
+        fields = [[(type(v), v) for v in vars(t).values()] for t in got]
+        assert fields == [[(type(v), v) for v in vars(t).values()] for t in oracle]
+
+    def test_validation_builds_no_pair_objects(self, monkeypatch):
+        made = []
+        pair_test = projection.PairTest
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return pair_test(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "PairTest", counting)
+        # two blocks of 4 URLs, each shared mostly by its own half of 60 users
+        block = np.arange(60)[:, None] * 2 // 60 == np.arange(8)[None, :] // 4
+        g = graph_of(np.random.default_rng(8).random((60, 8)) < np.where(block, 0.8, 0.05))
+        net = projection.validate_projection(g, bicm.solve(g))
+        assert net.n_tested > 0 and net.n_edges > 0
+        assert made == []
 
 
 def bh_oracle(pvalues, alpha, m):
@@ -318,7 +371,7 @@ class TestBhValidation:
         model = bicm.solve(g)
         net = projection.validate_projection(g, model, alpha=0.4)
         assert net.n_hypotheses == g.n_urls * (g.n_urls - 1) // 2
-        counts = projection.cooccurrences(g)
+        counts = counts_of(g)
         index = g.url_index
         for a, b, p in net.edges:
             assert p <= net.bh_threshold <= net.alpha
@@ -354,6 +407,7 @@ class TestBhValidation:
 
     def test_empty_tests_give_empty_network(self):
         g = bicm.BipartiteGraph.from_links([("u1", "a1"), ("u2", "a2")])
-        net = projection.bh_validate([], 0.05, 1, g)
+        empty = np.empty(0, dtype=np.int64)
+        net = projection.bh_validate(projection.PairTests(empty, empty, empty, np.empty(0)), 0.05, 1, g)
         assert net.edges == []
         assert net.validated_urls() == set()
