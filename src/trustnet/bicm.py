@@ -8,11 +8,13 @@ share one unknown, so the solve runs on the much smaller degree-class system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+
+from .ingest import Corpus, incidence
 
 
 class ConvergenceError(RuntimeError):
@@ -25,13 +27,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class BipartiteGraph:
-    """Binary user-URL graph with both degree sequences precomputed."""
+    """Binary user-URL graph, int64 so no count taken from it wraps, with both degree sequences."""
 
     user_ids: tuple[str, ...]
     url_ids: tuple[str, ...]
     biadjacency: sparse.csr_matrix
-    user_degrees: np.ndarray
-    url_degrees: np.ndarray
+    user_degrees: np.ndarray = field(init=False)
+    url_degrees: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.user_degrees = np.asarray(self.biadjacency.sum(axis=1)).ravel()
+        self.url_degrees = np.asarray(self.biadjacency.sum(axis=0)).ravel()
 
     @property
     def n_users(self) -> int:
@@ -59,28 +65,15 @@ class BipartiteGraph:
         pairs = set(links)
         if not pairs:
             raise ValueError("cannot build a bipartite graph with no links")
-        users = tuple(sorted({u for u, _ in pairs}))
-        urls = tuple(sorted({a for _, a in pairs}))
-        uidx = {u: i for i, u in enumerate(users)}
-        aidx = {a: j for j, a in enumerate(urls)}
-        rows = np.fromiter((uidx[u] for u, _ in pairs), dtype=np.int64, count=len(pairs))
-        cols = np.fromiter((aidx[a] for _, a in pairs), dtype=np.int64, count=len(pairs))
-        data = np.ones(len(pairs), dtype=np.int8)
-        adj = sparse.csr_matrix((data, (rows, cols)), shape=(len(users), len(urls)))
-        return cls(
-            user_ids=users,
-            url_ids=urls,
-            biadjacency=adj,
-            user_degrees=np.asarray(adj.sum(axis=1)).ravel().astype(np.int64),
-            url_degrees=np.asarray(adj.sum(axis=0)).ravel().astype(np.int64),
-        )
+        return cls(*incidence(pairs))
 
 
-def build_graph(corpus) -> BipartiteGraph:
-    """One link per corpus interaction; multiplicities collapse to a binary link."""
+def build_graph(corpus: Corpus) -> BipartiteGraph:
+    """One link per corpus interaction: the user × URL matrix of ``corpus.index``."""
     if not corpus.interactions:
         raise ValueError("empty corpus")
-    return BipartiteGraph.from_links((user, url) for user, url, _ in corpus.interactions)
+    index = corpus.index
+    return BipartiteGraph(index.users, index.urls, index.user_urls)
 
 
 @dataclass
@@ -322,13 +315,5 @@ def sample(graph: BipartiteGraph, model: BicmModel, seed: int) -> BipartiteGraph
     p = probability_matrix(model)
     hits = rng.random(p.shape) < p
     rows, cols = np.nonzero(hits)
-    links = [(graph.user_ids[i], graph.url_ids[a]) for i, a in zip(rows, cols)]
-    if not links:
-        return BipartiteGraph(
-            user_ids=(),
-            url_ids=(),
-            biadjacency=sparse.csr_matrix((0, 0), dtype=np.int8),
-            user_degrees=np.zeros(0, dtype=np.int64),
-            url_degrees=np.zeros(0, dtype=np.int64),
-        )
-    return BipartiteGraph.from_links(links)
+    return BipartiteGraph(*incidence({(graph.user_ids[i], graph.url_ids[a])
+                                      for i, a in zip(rows, cols)}))

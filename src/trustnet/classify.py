@@ -7,6 +7,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ingest import Corpus, KnowledgeBase, Label, fold_sum
 from .voters import VoterProfile
 
@@ -94,22 +96,10 @@ def publisher_scores(
     A voter votes on every publisher they shared at least one corpus article
     of, independent of the strategy that produced their value. Voters without
     a defined value are ignored; publishers nobody votes on are omitted.
+    A publisher's votes add in ascending user-id order, starting from 0.0,
+    whatever the order of ``voters``.
     """
-    votes: dict[str, list[float]] = defaultdict(list)
-    for voter in voters:
-        if voter.value is None:
-            continue
-        for publisher in corpus.user_publishers.get(voter.user_id, ()):
-            votes[publisher].append(voter.value)
-    return [
-        PublisherScore(
-            domain=pub,
-            score=fold_sum(vals) / len(vals),
-            n_voters=len(vals),
-            kb_label=kb.label(pub),
-        )
-        for pub, vals in sorted(votes.items())
-    ]
+    return vote_columns(voters, np.ones((len(voters), 1), dtype=bool), corpus, kb)[0][0]
 
 
 def labeled_samples(scores: list[PublisherScore]) -> list[tuple[float, Label]]:
@@ -121,15 +111,36 @@ def coverage(
     voters: list[VoterProfile], corpus: Corpus, kb: KnowledgeBase
 ) -> CoverageReport:
     """Publisher coverage of the voter set, against the corpus universe."""
-    reached = set().union(*(corpus.user_publishers.get(v.user_id, ()) for v in voters))
-    covered = {level: 0 for level in Label}
-    universe = {level: 0 for level in Label}
-    for publisher in corpus.publishers:
-        level = kb.label(publisher)
-        universe[level] += 1
-        if publisher in reached:
-            covered[level] += 1
-    return CoverageReport(covered=covered, universe=universe)
+    return vote_columns(voters, np.ones((len(voters), 1), dtype=bool), corpus, kb)[0][1]
+
+
+def vote_columns(
+    voters: list[VoterProfile], select: np.ndarray, corpus: Corpus, kb: KnowledgeBase
+) -> list[tuple[list[PublisherScore], CoverageReport]]:
+    """Per column j, ``publisher_scores`` and ``coverage`` of the voters with ``select[:, j]`` set.
+
+    With Bᵀ the publisher × user matrix of ``corpus.index``, one product each
+    gives every column's vote sums, vote counts and reached publishers.
+    """
+    index, bt = corpus.index, corpus.index.publisher_users
+    rows = [index.user_row[v.user_id] for v in voters]
+    chosen = np.zeros((len(index.users), select.shape[1]), dtype=np.int64)
+    chosen[rows] = select
+    value = np.zeros(len(index.users))
+    value[rows] = [np.nan if v.value is None else v.value for v in voters]
+    votes = chosen * ~np.isnan(value)[:, None]
+    sums = (bt @ (votes * np.nan_to_num(value)[:, None])).T.tolist()
+    counts = (bt @ votes).T.tolist()
+    labels = [kb.label(p) for p in index.publishers]
+    levels = np.eye(len(Label), dtype=np.int64)[[list(Label).index(label) for label in labels]]
+    covered = ((bt @ chosen > 0).T.astype(np.int64) @ levels).tolist()
+    universe = levels.sum(axis=0).tolist()
+    return [
+        ([PublisherScore(p, s / n, n, label)
+          for p, s, n, label in zip(index.publishers, col_sums, col_counts, labels) if n],
+         CoverageReport(dict(zip(Label, col_covered)), dict(zip(Label, universe))))
+        for col_sums, col_counts, col_covered in zip(sums, counts, covered)
+    ]
 
 
 def fit_stump(samples: list[tuple[float, Label]]) -> Stump:

@@ -21,6 +21,9 @@ from pathlib import Path
 from typing import Iterable
 from urllib.parse import urlsplit
 
+import numpy as np
+from scipy import sparse
+
 log = logging.getLogger(__name__)
 
 POST_KINDS = ("original", "retweet", "quote", "reply")
@@ -79,7 +82,8 @@ class Corpus:
     * ``users``, ``articles`` and ``publishers``: the distinct ids;
     * ``user_urls``: user -> the URLs they shared;
     * ``user_publishers``: user -> the publishers they shared; its size is
-      the user's information diet.
+      the user's information diet;
+    * ``index``: the same links as sparse matrices (``CorpusIndex``).
     """
 
     interactions: set[tuple[str, str, str]]
@@ -106,6 +110,47 @@ class Corpus:
     @cached_property
     def user_publishers(self) -> dict[str, frozenset[str]]:
         return _group((user, pub) for user, _, pub in self.interactions)
+
+    @cached_property
+    def index(self) -> "CorpusIndex":
+        users, urls, a = incidence({(user, url) for user, url, _ in self.interactions})
+        column = {p: k for k, p in enumerate(sorted(self.publishers))}
+        codes = np.array([column[self.url_publisher[url]] for url in urls], dtype=np.int64)
+        b = (a @ sparse.csr_matrix((np.ones_like(codes), (np.arange(len(urls)), codes)),
+                                   shape=(len(urls), len(column)))).sign().sorted_indices()
+        return CorpusIndex(users, urls, tuple(column), a, codes, b, b.T.tocsr(),
+                           {u: i for i, u in enumerate(users)})
+
+
+@dataclass(frozen=True)
+class CorpusIndex:
+    """A corpus's links as binary int64 CSR matrices over sorted ids, so no count wraps.
+
+    A = ``user_urls`` (users × URLs), B = ``user_publishers`` (users ×
+    publishers), Bᵀ = ``publisher_users``; ``url_publisher[j]`` is URL j's
+    column in B. Each row's column indices ascend, so a product with a dense
+    float vector adds a row's terms in ascending column order, from 0.0.
+    """
+
+    users: tuple[str, ...]
+    urls: tuple[str, ...]
+    publishers: tuple[str, ...]
+    user_urls: sparse.csr_matrix
+    url_publisher: np.ndarray
+    user_publishers: sparse.csr_matrix
+    publisher_users: sparse.csr_matrix
+    user_row: dict[str, int]
+
+
+def incidence(pairs: set[tuple[str, str]]) -> tuple[tuple, tuple, sparse.csr_matrix]:
+    """Sorted row ids, sorted column ids and the binary int64 CSR of the distinct pairs."""
+    rows = tuple(sorted({r for r, _ in pairs}))
+    cols = tuple(sorted({c for _, c in pairs}))
+    ridx = {r: i for i, r in enumerate(rows)}
+    cidx = {c: j for j, c in enumerate(cols)}
+    i = np.fromiter((ridx[r] for r, _ in pairs), dtype=np.int64, count=len(pairs))
+    j = np.fromiter((cidx[c] for _, c in pairs), dtype=np.int64, count=len(pairs))
+    return rows, cols, sparse.csr_matrix((np.ones_like(i), (i, j)), shape=(len(rows), len(cols)))
 
 
 def fold_sum(values: Iterable[float]) -> float:

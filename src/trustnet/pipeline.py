@@ -363,12 +363,14 @@ def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     if cached is not None:
         return profiles, cached
     for kind, profs in profiles.items():
+        # each profile's cells are formatted once; csv.writer writes a str cell as it is
+        cells = {v.user_id: (v.user_id, kind.value, "" if v.value is None else repr(v.value),
+                             str(v.diet), str(v.n_articles)) for v in profs}
         for theta in config.thetas():
-            surviving = voters_mod.filter_min_publishers(profs, theta)
             write_csv(
                 stage_dir / voter_table(kind.value, theta),
                 ["user_id", "strategy", "value", "diet", "n_articles"],
-                [(v.user_id, kind.value, v.value, v.diet, v.n_articles) for v in surviving],
+                [cells[v.user_id] for v in voters_mod.filter_min_publishers(profs, theta)],
             )
     return profiles, {
         "strategies": [k.value for k in profiles],
@@ -397,30 +399,17 @@ SWEEP_HEADER = (
 )
 
 
-def _evaluate(
-    config: PipelineConfig,
-    voters: list[VoterProfile],
-    corpus: Corpus,
-    kb: KnowledgeBase,
-    strategy: str | None = None,
-) -> tuple[list[classify.PublisherScore], classify.CoverageReport, classify.CvReport | None]:
-    """Publisher scores, coverage and CV report of one voter set.
-
-    Voters without a value score nothing but still count toward coverage.
-    The report is None when the labeled publishers cannot be cross-validated;
-    a ``strategy``'s full voter set logs why.
-    """
-    scores = classify.publisher_scores([v for v in voters if v.value is not None], corpus, kb)
-    cov = classify.coverage(voters, corpus, kb)
+def _cross_validate(config: PipelineConfig, scores: list[classify.PublisherScore],
+                    strategy: str | None = None) -> classify.CvReport | None:
+    """CV report of the labeled publishers, or None (a ``strategy``'s full voter set logs why)."""
     try:
-        report = classify.stratified_cv(
+        return classify.stratified_cv(
             classify.labeled_samples(scores), folds=config.cv_folds, seed=config.cv_seed
         )
     except ValueError as exc:
         if strategy is not None:
             log.warning("classify %s: CV skipped (%s)", strategy, exc)
-        report = None
-    return scores, cov, report
+        return None
 
 
 def compute_sweep(
@@ -432,6 +421,9 @@ def compute_sweep(
 ) -> list[SweepPoint]:
     """One point per strategy and θ: the strategy's voters whose diet reaches θ.
 
+    θ is a column mask over a strategy's voters: one ``vote_columns`` call
+    scores and covers every θ, and only the CV runs per θ.
+
     Knowledge counts the distinct labeled publishers needed to characterize
     the voters. Every strategy but DS-URL-NEC characterizes a voter by
     everything they shared, so its knowledge is the labeled publishers its
@@ -440,15 +432,17 @@ def compute_sweep(
     """
     validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
     nec_knowledge = sum(1 for p in validated_pubs if kb.label(p) is not Label.UNC)
+    thetas = config.thetas()
     points = []
     for kind, profs in profiles.items():
-        for theta in config.thetas():
-            surviving = voters_mod.filter_min_publishers(profs, theta)
-            _, cov, report = _evaluate(config, surviving, corpus, kb)
+        select = np.array([v.diet for v in profs], dtype=np.int64)[:, None] >= np.array(thetas)
+        columns = classify.vote_columns(profs, select, corpus, kb)
+        for theta, n_voters, (scores, cov) in zip(thetas, select.sum(axis=0).tolist(), columns):
+            report = _cross_validate(config, scores)
             points.append(SweepPoint(
                 strategy=kind.value,
                 theta=theta,
-                n_voters=len(surviving),
+                n_voters=n_voters,
                 covered={l.value: cov.covered[l] for l in Label},
                 balanced_accuracy_mean=report.mean_balanced_accuracy if report else None,
                 balanced_accuracy_std=report.std_balanced_accuracy if report else None,
@@ -464,7 +458,9 @@ def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cach
     results: dict = {"strategies": {}, "sweep": []}
     coverage_rows = []
     for kind, profs in profiles.items():
-        scores, cov, cv_report = _evaluate(config, profs, corpus, kb, kind.value)
+        scores = classify.publisher_scores(profs, corpus, kb)
+        cov = classify.coverage(profs, corpus, kb)
+        cv_report = _cross_validate(config, scores, kind.value)
         stump = None
         try:
             stump = classify.fit_stump(classify.labeled_samples(scores))

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .ingest import Corpus, KnowledgeBase
 from .projection import ValidatedNetwork
 
@@ -97,23 +99,26 @@ def build_voter_profiles(
     all unclassified keep a profile with value None (they are excluded again
     before classification). A voter's diet counts the distinct publishers
     they shared over the whole corpus.
+
+    With A the user × URL matrix of ``corpus.index`` and m marking the URLs
+    that feed a value (the validated ones for DS-URL-NEC, else all),
+    ``n_articles`` is A·m and the value (A·s)/(A·k): k marks m's scored URLs,
+    s holds their int KB scores, so the sums are exact, as in ``characterize``.
     """
-    a_val = validated.validated_urls() if strategy is StrategyKind.DS_URL_NEC else None
-    profiles = []
-    for user in sorted(select_voters(strategy, corpus, validated)):
-        shared = corpus.user_urls[user]
-        articles = shared & a_val if a_val is not None else shared
-        if not articles:
-            continue
-        profiles.append(
-            VoterProfile(
-                user_id=user,
-                n_articles=len(articles),
-                value=_mean_score(articles, corpus, kb),
-                diet=len(corpus.user_publishers[user]),
-            )
-        )
-    return profiles
+    index, a = corpus.index, corpus.index.user_urls
+    a_val = validated.validated_urls()
+    in_val = np.array([url in a_val for url in index.urls], dtype=np.int64)
+    used = in_val if strategy is StrategyKind.DS_URL_NEC else np.ones_like(in_val)
+    score = np.array([kb.score(p) for p in index.publishers], dtype=float)[index.url_publisher]
+    scored = used * ~np.isnan(score)
+    n_articles, total, n_scored = a @ used, a @ np.where(scored, score, 0.0), a @ scored
+    supporter = a @ in_val > 0  # the discussion supporters, as ``select_voters`` picks them
+    voter = {StrategyKind.USERS_ALL: np.ones_like(supporter),
+             StrategyKind.DS_ALL_WO_USR_NEC: ~supporter}.get(strategy, supporter)
+    rows = zip(index.users, voter.tolist(), n_articles.tolist(), total.tolist(),
+               n_scored.tolist(), np.diff(index.user_publishers.indptr).tolist())
+    return [VoterProfile(u, n, t / k if k else None, d)
+            for u, keep, n, t, k, d in rows if keep and n]
 
 
 def filter_min_publishers(

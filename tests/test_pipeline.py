@@ -708,6 +708,31 @@ def test_one_stump_fit_per_strategy_outside_cv(inputs, tmp_path, monkeypatch):
     assert len(outside) == len(config.strategies)
 
 
+def test_sweep_scores_every_theta_in_one_call_per_strategy(inputs, tmp_path, monkeypatch):
+    """θ is a column mask: the sweep must not evaluate one voter list per (strategy, θ)."""
+    from trustnet import classify
+
+    calls = defaultdict(int)
+
+    def counted(name):
+        original = getattr(classify, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("publisher_scores", "coverage", "vote_columns"):
+        monkeypatch.setattr(classify, name, counted(name))
+    config = make_config(inputs, tmp_path / "run", theta_max=30)
+    run_pipeline(config)
+    n = len(config.strategies)
+    # the classify report's one voter list per strategy
+    assert calls["publisher_scores"] == calls["coverage"] == n
+    # each of those makes one vote_columns call; the sweep may make one per strategy
+    assert calls["vote_columns"] - calls["publisher_scores"] - calls["coverage"] <= n
+
+
 def test_benchmark_tracer_counts_a_run(inputs, tmp_path, monkeypatch):
     """perfbench wraps trustnet's module attributes and counts their results.
 
