@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("solve", "fit the bipartite null model"),
         ("validate", "compute co-occurrence p-values and the FDR projection"),
         ("communities", "detect news engagement communities"),
-        ("voters", "build voter tables for every strategy and threshold"),
+        ("voters", "build one voter table per strategy"),
         ("classify", "score and classify publishers"),
         ("run", "run the full pipeline"),
         ("figures", "emit figure data tables for a completed run"),

@@ -229,7 +229,7 @@ def _parse_post(obj: object) -> RawPost | None:
 
 
 def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
-    """Read a JSON Lines posts file.
+    """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
 
     Returns (posts, n_malformed). Malformed lines (bad JSON, missing or
     mistyped fields, duplicate post_id) are skipped and counted; an
@@ -238,7 +238,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     posts: list[RawPost] = []
     seen_ids: set[str] = set()
     malformed = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -294,7 +294,7 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
 
 
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:
-    """Read the ``domain,score`` CSV (header required, empty score = UNC).
+    """Read the ``domain,score`` CSV (header required, empty score = UNC, BOM skipped).
 
     Domains are normalized as URL hosts are, so ``WWW.Example.com.`` is
     ``example.com``. A missing domain, a score outside 0..100 or a non-integer
@@ -304,7 +304,7 @@ def load_knowledge_base(path: str | Path) -> KnowledgeBase:
     kb = KnowledgeBase()
     unclassified: set[str] = set()
     duplicates = Counter()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["domain", "score"]:

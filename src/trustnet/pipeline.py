@@ -76,7 +76,7 @@ class PipelineConfig:
         A setting no run can use is a ValueError that names its key: an unknown
         key, a value of the wrong type or one out of range. An int field takes
         no bool, a float field takes an int too (stored as a float, so both
-        hash alike), and ``strategies`` a list of str.
+        hash alike), and ``strategies`` a non-empty list of distinct str.
         """
         data = {}
         if path is not None:
@@ -107,9 +107,10 @@ class PipelineConfig:
         if "strategies" in data:
             data["strategies"] = tuple(data["strategies"])
         config = cls(**data)
-        known = tuple(k.value for k in ALL_STRATEGIES)
+        known, chosen = tuple(k.value for k in ALL_STRATEGIES), config.strategies
         for key, ok, rule in (
-            ("strategies", set(config.strategies) <= set(known), f"must be among {known}"),
+            ("strategies", 0 < len(chosen) == len(set(chosen)) and set(chosen) <= set(known),
+             f"must list one or more of {known}, none twice"),
             ("cv_folds", config.cv_folds >= 2, "must be >= 2"),
             ("theta_min", 0 <= config.theta_min <= config.theta_max, "must lie in [0, theta_max]"),
             ("alpha", 0 < config.alpha < 1, "must lie in (0, 1)"),
@@ -348,13 +349,9 @@ def load_partition(stage_dir: Path, meta: dict) -> nec.Partition:
 # ---------------------------------------------------------------------------
 # voters stage
 
-def voter_table(strategy: str, theta: int) -> str:
-    """File name of the voters stage's table for one strategy and θ."""
-    return f"voters_{strategy}_theta{theta:02d}.csv"
-
-
 def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
-    """Profiles are always rebuilt; the voter tables are written only when not cached."""
+    """Profiles are always rebuilt; ``voters_<strategy>.csv``, written only when not
+    cached, holds the voters whose diet reaches θ_min (the sweep's θ keeps ``diet >= θ``)."""
     corpus, kb = upstream["ingest"]
     profiles = {
         kind: voters_mod.build_voter_profiles(kind, corpus, upstream["projection"], kb)
@@ -363,18 +360,13 @@ def stage_voters(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     if cached is not None:
         return profiles, cached
     for kind, profs in profiles.items():
-        # each profile's cells are formatted once; csv.writer writes a str cell as it is
-        cells = {v.user_id: (v.user_id, kind.value, "" if v.value is None else repr(v.value),
-                             str(v.diet), str(v.n_articles)) for v in profs}
-        for theta in config.thetas():
-            write_csv(
-                stage_dir / voter_table(kind.value, theta),
-                ["user_id", "strategy", "value", "diet", "n_articles"],
-                [cells[v.user_id] for v in voters_mod.filter_min_publishers(profs, theta)],
-            )
+        write_csv(stage_dir / f"voters_{kind.value}.csv",
+                  ["user_id", "strategy", "value", "diet", "n_articles"],
+                  [(v.user_id, kind.value, v.value, v.diet, v.n_articles)
+                   for v in voters_mod.filter_min_publishers(profs, config.theta_min)])
     return profiles, {
         "strategies": [k.value for k in profiles],
-        "thetas": list(config.thetas()),
+        "theta_min": config.theta_min,
         "n_voters": {k.value: len(v) for k, v in profiles.items()},
     }
 
@@ -573,7 +565,7 @@ class Stage:
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", "2", (), (),
+    Stage("ingest", "3", (), (),
           lambda c: ("interactions.csv", "share_events.csv", "publishers.csv")),
     Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
           lambda c: ("fitness.csv",)),
@@ -581,12 +573,12 @@ STAGES = (
           lambda c: ("validated_edges.csv",)),
     Stage("nec", "2", ("ingest", "projection"), ("louvain_seed",),
           lambda c: ("partition.csv", "nec_summary.csv", "purity.csv")),
-    Stage("voters", "1", ("ingest", "projection"), ("strategies", "theta_min", "theta_max"),
-          lambda c: tuple(voter_table(s, t) for s in c.strategies for t in c.thetas())),
+    Stage("voters", "2", ("ingest", "projection"), ("strategies", "theta_min"),
+          lambda c: tuple(f"voters_{s}.csv" for s in c.strategies)),
     # its report section is not persisted, so a run cannot reuse classify;
     # emit_figures refuses a run whose classify meta and sweep are not current
-    Stage("classify", "1", ("ingest", "projection", "voters"), ("cv_folds", "cv_seed"),
-          lambda c: ("sweep.csv",), always_run=True),
+    Stage("classify", "1", ("ingest", "projection", "voters"),
+          ("theta_max", "cv_folds", "cv_seed"), lambda c: ("sweep.csv",), always_run=True),
     Stage("figures", "1", ("ingest", "nec", "classify"), (), lambda c: (), always_run=True),
 )
 

@@ -137,13 +137,16 @@ def test_figures_refuses_stale_stages(synth_inputs, tmp_path, capsys):
         ('{"alpha": false}', "alpha"),
         ('{"strategies": "DS-ALL"}', "strategies"),
         ('{"strategies": [1]}', "strategies"),
+        ('{"strategies": []}', "strategies"),
+        ('{"strategies": ["DS-ALL", "DS-ALL"]}', "strategies"),
     ],
     ids=[
         "unknown-key", "removed-key", "malformed-json", "missing-file", "zero-folds",
         "one-fold", "negative-theta-min", "theta-min-above-max", "unknown-strategy",
         "alpha-above-one", "zero-alpha", "negative-alpha", "zero-tol", "zero-max-iter",
         "string-folds", "null-theta-min", "bool-folds", "float-seed", "string-alpha",
-        "bool-alpha", "string-strategies", "int-strategy",
+        "bool-alpha", "string-strategies", "int-strategy", "no-strategies",
+        "repeated-strategy",
     ],
 )
 def test_config_file_errors_are_usage_errors(synth_inputs, tmp_path, capsys, content, needle):

@@ -84,6 +84,14 @@ class TestLoadPosts:
         with pytest.raises(OSError):
             load_posts(tmp_path / "nope.jsonl")
 
+    def test_byte_order_mark_is_not_a_malformed_line(self, tmp_path):
+        p = tmp_path / "posts.jsonl"
+        write_posts(p, [_post(f"p{i}", "u1", ["https://a.com/x"]) for i in range(2)])
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        posts, malformed = load_posts(p)
+        assert malformed == 0
+        assert [r.post_id for r in posts] == ["p0", "p1"]
+
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post("p0", "u1", ["https://a.com/x", "notaurl"]),
@@ -303,6 +311,12 @@ class TestKnowledgeBase:
     def test_header_required(self, tmp_path):
         with pytest.raises(KnowledgeBaseError):
             load_knowledge_base(self.write_kb(tmp_path, ["y.com,5"], header="site,points"))
+
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        p = self.write_kb(tmp_path, ["a.com,90", "b.com,10"])
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        kb = load_knowledge_base(p)
+        assert (kb.label("a.com"), kb.label("b.com")) == (Label.T, Label.N)
 
     def test_label_partition_is_total(self, tmp_path):
         kb = load_knowledge_base(

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
@@ -65,15 +66,15 @@ STAGE_FILES = {
 #: SHA-256 of each stage directory of the ``run`` fixture, keyed by (stage, tag),
 #: and of its report.json. A stage whose bytes change gets a new tag.
 PINS = {
-    ("ingest", "2"): "0f8126018ed8019988f1568d9aee98657fc67783755280fc9e6ffdaa061f73e8",
+    ("ingest", "3"): "0f8126018ed8019988f1568d9aee98657fc67783755280fc9e6ffdaa061f73e8",
     ("bicm", "1"): "0fee5f3649935debd1e54435a6c67a2e70bced57e03070b0b0f8973a10d122da",
     ("projection", "degree-class-1"):
         "89369fb5f1a3ac8293429c3bb29d5ee9b4cc679e040c3b1cbf16ab26dc1d15b2",
     ("nec", "2"): "4829daba0e741de4da6248bb54fe1e809a75c971cffb0163b1696ae0c2bbdbb3",
-    ("voters", "1"): "f29f3a755355c168e1ea9f95c5977aa32456e43bd99aba2d743ce166d8849294",
+    ("voters", "2"): "98efcf600c8efb0254ec1f56cfcda91d4241be73d81677daac4a805edc8bacb5",
     ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
     ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
-    "report.json": "81e5f845463d87a4816ce3162dd7adad108c9123f7d076d109942621ed4e070c",
+    "report.json": "8dcf03520a411cf56d9ac7fbc555514a0b380362a6b0a719642b5f223377f18c",
 }
 
 
@@ -120,12 +121,13 @@ class TestRunArtifacts:
                 assert (result.out_dir / stage / name).exists(), f"{stage}/{name}"
         assert (result.out_dir / "report.json").exists()
 
-    def test_voter_tables_per_strategy_and_theta(self, run):
+    def test_one_voter_table_per_strategy(self, run):
         result, config = run
-        for strategy in config.strategies:
-            for theta in config.thetas():
-                path = result.out_dir / "voters" / f"voters_{strategy}_theta{theta:02d}.csv"
-                assert path.exists()
+        voters_dir = result.out_dir / "voters"
+        assert sorted(p.name for p in voters_dir.glob("voters_*.csv")) == sorted(
+            f"voters_{s}.csv" for s in config.strategies
+        )
+        assert not list(voters_dir.glob("*_theta*.csv"))
 
     def test_stage_metas_carry_config_hash(self, run):
         result, config = run
@@ -289,7 +291,7 @@ class TestDeterminism:
         assert json.loads(meta_path.read_text())["config_hash"] == hashes["projection"]
 
     @pytest.mark.parametrize("artifact", [
-        "voters/voters_DS-ALL_theta01.csv", "nec/purity.csv", "ingest/publishers.csv",
+        "voters/voters_DS-ALL.csv", "nec/purity.csv", "ingest/publishers.csv",
     ])
     def test_deleted_artifact_is_rewritten(self, inputs, tmp_path, artifact):
         out = tmp_path / "repair"
@@ -647,6 +649,60 @@ def test_validated_urls_are_not_rebuilt_per_theta(inputs, tmp_path, monkeypatch)
         run_pipeline(make_config(inputs, tmp_path / f"run{theta_max}", theta_max=theta_max))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def per_theta_tables_oracle(config, profiles) -> dict[tuple[str, int], bytes]:
+    """The voters stage's former output: one table per strategy and θ, as bytes.
+
+    Each profile's cells are formatted once, then each θ writes the profiles
+    whose diet reaches it, in profile order.
+    """
+    tables = {}
+    for kind, profs in profiles.items():
+        cells = {v.user_id: (v.user_id, kind.value, "" if v.value is None else repr(v.value),
+                             str(v.diet), str(v.n_articles)) for v in profs}
+        for theta in config.thetas():
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["user_id", "strategy", "value", "diet", "n_articles"])
+            writer.writerows(cells[v.user_id] for v in profs if v.diet >= theta)
+            tables[kind.value, theta] = buf.getvalue().encode()
+    return tables
+
+
+@pytest.mark.parametrize("theta_min", [0, 2])
+def test_voter_table_rows_at_each_theta_match_the_per_theta_oracle(inputs, tmp_path, theta_min):
+    config = make_config(inputs, tmp_path / "run", theta_min=theta_min)
+    result = run_pipeline(config)
+    oracle = per_theta_tables_oracle(config, result.profiles)
+    # the empty value cell of a voter without a value is part of what is compared
+    assert any(v.value is None for profs in result.profiles.values() for v in profs)
+    for strategy in config.strategies:
+        path = result.out_dir / "voters" / f"voters_{strategy}.csv"
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        diets = [int(next(csv.reader([line.decode()]))[3]) for line in lines]
+        for theta in config.thetas():
+            kept = b"".join(line for line, diet in zip(lines, diets) if diet >= theta)
+            assert header + kept == oracle[strategy, theta], (strategy, theta)
+        assert min(diets) >= theta_min
+
+
+def test_theta_max_change_reuses_voters_and_reruns_the_sweep(inputs, tmp_path, caplog):
+    out = tmp_path / "run"
+    run_pipeline(make_config(inputs, out, theta_max=2))
+    stamp = (out / "voters" / "voters_DS-ALL.csv").stat().st_mtime_ns
+    config = make_config(inputs, out, theta_max=5)
+    with caplog.at_level(logging.INFO):
+        run_pipeline(config)
+    assert "voters: reusing cached artifacts" in caplog.messages
+    assert "classify: reusing cached artifacts" not in caplog.messages
+    assert (out / "voters" / "voters_DS-ALL.csv").stat().st_mtime_ns == stamp
+    meta = json.loads((out / "classify" / "meta.json").read_text())
+    assert meta["config_hash"] == pipeline.stage_hashes(config)["classify"]
+    sweep = pipeline.read_csv(out / "classify" / "sweep.csv")
+    assert [(s, int(t)) for s, t, *_ in sweep] == [
+        (s, t) for s in config.strategies for t in range(6)
+    ]
 
 
 def test_classify_report_covers_every_profile_whatever_theta_min(inputs, tmp_path):
