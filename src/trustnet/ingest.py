@@ -76,10 +76,12 @@ class Corpus:
 
     ``interactions`` is a set of (user_id, url, publisher) triples, one per
     distinct (user, url) pair. ``share_events`` keeps post multiplicity for
-    auditing: a list of (user_id, url, post_id). Nothing changes a corpus
-    once it is built, so each grouping below is derived once, on first use:
+    auditing: a list of (user_id, url, post_id), one per post and canonical
+    URL. Nothing changes a corpus once it is built, so each grouping below
+    is derived from ``interactions`` once, on first use:
 
     * ``users``, ``articles`` and ``publishers``: the distinct ids;
+    * ``url_publisher``: URL -> its publisher;
     * ``user_urls``: user -> the URLs they shared;
     * ``user_publishers``: user -> the publishers they shared; its size is
       the user's information diet;
@@ -88,12 +90,15 @@ class Corpus:
 
     interactions: set[tuple[str, str, str]]
     share_events: list[tuple[str, str, str]]
-    url_publisher: dict[str, str]
     skipped_urls: int = 0
 
     @cached_property
     def users(self) -> frozenset[str]:
         return frozenset(u for u, _, _ in self.interactions)
+
+    @cached_property
+    def url_publisher(self) -> dict[str, str]:
+        return {url: pub for _, url, pub in self.interactions}
 
     @cached_property
     def articles(self) -> frozenset[str]:
@@ -232,8 +237,9 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
 
     Returns (posts, n_malformed). Malformed lines (bad JSON, missing or
-    mistyped fields, duplicate post_id) are skipped and counted; an
-    unreadable file raises OSError.
+    mistyped fields, duplicate post_id) are skipped and counted: each is
+    logged at DEBUG, their count once per file at WARNING. An unreadable
+    file raises OSError.
     """
     posts: list[RawPost] = []
     seen_ids: set[str] = set()
@@ -247,12 +253,12 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 malformed += 1
-                log.warning("%s:%d: unparseable record skipped", path, lineno)
+                log.debug("%s:%d: unparseable record skipped", path, lineno)
                 continue
             post = _parse_post(obj)
             if post is None or post.post_id in seen_ids:
                 malformed += 1
-                log.warning("%s:%d: malformed or duplicate record skipped", path, lineno)
+                log.debug("%s:%d: malformed or duplicate record skipped", path, lineno)
                 continue
             seen_ids.add(post.post_id)
             posts.append(post)
@@ -265,32 +271,30 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     """Assemble the interaction corpus from parsed posts.
 
     Interactions are deduplicated on (user, url); share events keep post
-    multiplicity. Only posts of a kind in ``DEFAULT_INCLUDE_KINDS`` contribute.
+    multiplicity, one event per post and canonical URL. Only posts of a kind
+    in ``DEFAULT_INCLUDE_KINDS`` contribute.
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
     """
     interactions: set[tuple[str, str, str]] = set()
     share_events: list[tuple[str, str, str]] = []
-    url_publisher: dict[str, str] = {}
     skipped = 0
     url_parts = cache(_url_parts)  # one split per distinct raw URL
     for post in posts:
         if post.kind not in DEFAULT_INCLUDE_KINDS:
             continue
+        seen: set[str] = set()  # canonical URLs of this post
         for raw_url in post.urls:
             parts = url_parts(raw_url)
             if parts is None:
                 skipped += 1
                 continue
             url, domain = parts
-            url_publisher[url] = domain
+            if url in seen:
+                continue
+            seen.add(url)
             interactions.add((post.user_id, url, domain))
             share_events.append((post.user_id, url, post.post_id))
-    return Corpus(
-        interactions=interactions,
-        share_events=share_events,
-        url_publisher=url_publisher,
-        skipped_urls=skipped,
-    )
+    return Corpus(interactions=interactions, share_events=share_events, skipped_urls=skipped)
 
 
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:

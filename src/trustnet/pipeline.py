@@ -212,18 +212,9 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
 
 
 def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
-    interactions: set[tuple[str, str, str]] = set()
-    url_publisher: dict[str, str] = {}
-    for user, url, publisher in read_csv(stage_dir / "interactions.csv"):
-        interactions.add((user, url, publisher))
-        url_publisher[url] = publisher
+    interactions = {tuple(row) for row in read_csv(stage_dir / "interactions.csv")}
     share_events = [tuple(row) for row in read_csv(stage_dir / "share_events.csv")]
-    return Corpus(
-        interactions=interactions,
-        share_events=share_events,
-        url_publisher=url_publisher,
-        skipped_urls=int(meta["n_skipped_urls"]),
-    )
+    return Corpus(interactions, share_events, int(meta["n_skipped_urls"]))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +556,7 @@ class Stage:
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", "3", (), (),
+    Stage("ingest", "4", (), (),
           lambda c: ("interactions.csv", "share_events.csv", "publishers.csv")),
     Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
           lambda c: ("fitness.csv",)),

@@ -137,6 +137,25 @@ class TestSolve:
             model = bicm.solve(g, tol=1e-8)
             assert bicm.degree_residual(g, model) <= 1e-8
 
+    def test_newton_polish_rescues_a_stalled_sweep(self, monkeypatch):
+        # the fixed point stalls on this 9-link graph after 271 sweeps
+        links = [("u00", "a00"), ("u00", "a01"), ("u00", "a04"), ("u01", "a00"),
+                 ("u01", "a02"), ("u01", "a04"), ("u02", "a04"), ("u03", "a00"),
+                 ("u04", "a04")]
+        g = graph_from(links)
+        stalled = []
+        polish = bicm._newton_polish
+
+        def counted(xs, ys, ks, ds, ck, ed, tol):
+            stalled.append(bicm._class_residual(xs, ys, ks, ds, ck, ed))
+            return polish(xs, ys, ks, ds, ck, ed, tol)
+
+        monkeypatch.setattr(bicm, "_newton_polish", counted)
+        model = bicm.solve(g, tol=1e-8)
+        assert model.iterations == 271
+        assert len(stalled) == 1 and stalled[0] > 1e-8
+        assert bicm.degree_residual(g, model) <= 1e-8
+
     def test_non_convergence_raises_with_residual(self):
         # tol below machine precision on an irregular system cannot be met
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import random
 from urllib.parse import urlsplit
 
@@ -91,6 +92,24 @@ class TestLoadPosts:
         posts, malformed = load_posts(p)
         assert malformed == 0
         assert [r.post_id for r in posts] == ["p0", "p1"]
+
+    def test_skipped_lines_are_debug_records_under_one_warning(self, tmp_path, caplog):
+        p = tmp_path / "posts.jsonl"
+        write_posts(p, [_post("p0", "u1", ["https://a.com/x"]), "{not json",
+                        _post("p0", "u2", []), {"post_id": "p1"}])
+        with caplog.at_level(logging.WARNING, logger="trustnet.ingest"):
+            load_posts(p)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"{p}: skipped 3 malformed records")]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="trustnet.ingest"):
+            load_posts(p)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, f"{p}:2: unparseable record skipped"),
+            (logging.DEBUG, f"{p}:3: malformed or duplicate record skipped"),
+            (logging.DEBUG, f"{p}:4: malformed or duplicate record skipped"),
+            (logging.WARNING, f"{p}: skipped 3 malformed records"),
+        ]
 
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
@@ -209,6 +228,16 @@ class TestBuildCorpus:
         corpus = build_corpus(posts)
         assert len(corpus.interactions) == 1
         assert len(corpus.share_events) == 2
+
+    def test_one_share_event_per_post_and_canonical_url(self):
+        posts = [
+            RawPost("p1", "u1", 0.0, ("https://a.com/x?utm=1", "https://A.com/x#top"), "original"),
+            RawPost("p2", "u1", 1.0, ("https://a.com/x",), "retweet"),
+        ]
+        corpus = build_corpus(posts)
+        assert corpus.interactions == {("u1", "https://a.com/x", "a.com")}
+        assert corpus.share_events == [
+            ("u1", "https://a.com/x", "p1"), ("u1", "https://a.com/x", "p2")]
 
     def test_quote_posts_never_contribute(self):
         posts = [RawPost("p1", "u1", 0.0, ("https://a.com/x",), "quote")]
@@ -367,6 +396,7 @@ class TestCorpusGroupings:
         assert corpus.users == users
         assert corpus.articles == {url for _, url, _ in triples}
         assert corpus.publishers == {p for _, _, p in triples}
+        assert corpus.url_publisher == {url: p for _, url, p in triples}
         assert corpus.user_urls == {
             u: {url for v, url, _ in triples if v == u} for u in users
         }
