@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, reduce
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -41,8 +41,7 @@ class Label(str, Enum):
     UNC = "UNC"
 
 
-@dataclass(frozen=True)
-class RawPost:
+class RawPost(NamedTuple):
     post_id: str
     user_id: str
     timestamp: float
@@ -72,13 +71,14 @@ class KnowledgeBase:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Deduplicated user-URL-publisher interactions plus raw share events.
+    """Deduplicated user-URL-publisher interactions plus the share events behind them.
 
     ``interactions`` is a set of (user_id, url, publisher) triples, one per
-    distinct (user, url) pair. ``share_events`` keeps post multiplicity for
-    auditing: a list of (user_id, url, post_id), one per post and canonical
-    URL. Nothing changes a corpus once it is built, so each grouping below
-    is derived from ``interactions`` once, on first use:
+    distinct (user, url) pair. ``share_events`` keeps post multiplicity: the
+    canonical URL of each share event, one per post and canonical URL. Only
+    its count per URL is read, and a reused ingest lists it sorted. Nothing
+    changes a corpus once it is built, so each grouping below is derived
+    from ``interactions`` once, on first use:
 
     * ``users``, ``articles`` and ``publishers``: the distinct ids;
     * ``url_publisher``: URL -> its publisher;
@@ -89,7 +89,7 @@ class Corpus:
     """
 
     interactions: set[tuple[str, str, str]]
-    share_events: list[tuple[str, str, str]]
+    share_events: list[str]
     skipped_urls: int = 0
 
     @cached_property
@@ -200,6 +200,15 @@ def _url_parts(url: str) -> tuple[str, str] | None:
     return f"{parts.scheme.lower()}://{host}{parts.path}", host
 
 
+def _split_key(url: str) -> str:
+    """``url`` cut before its first ``?`` or ``#``: ``_url_parts`` gives both the same.
+
+    ``urlsplit`` ends the host at the first of ``/?#`` and the path at the first
+    of ``?#``; the query and fragment after them reach no part.
+    """
+    return url.partition("#")[0].partition("?")[0]
+
+
 def extract_domain(url: str) -> str | None:
     """Publisher domain of an absolute URL, or None if the URL has no host."""
     parts = _url_parts(url)
@@ -212,56 +221,48 @@ def canonical_url(url: str) -> str | None:
     return parts[0] if parts else None
 
 
-def _parse_post(obj: object) -> RawPost | None:
-    if not isinstance(obj, dict):
-        return None
-    post_id = obj.get("post_id")
-    user_id = obj.get("user_id")
-    timestamp = obj.get("timestamp")
-    urls = obj.get("urls")
-    kind = obj.get("kind")
-    if not isinstance(post_id, str) or not post_id:
-        return None
-    if not isinstance(user_id, str) or not user_id:
-        return None
-    if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
-        return None
-    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
-        return None
-    if kind not in POST_KINDS:
-        return None
-    return RawPost(post_id, user_id, float(timestamp), tuple(urls), kind)
-
-
 def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
 
-    Returns (posts, n_malformed). Malformed lines (bad JSON, missing or
-    mistyped fields, duplicate post_id) are skipped and counted: each is
-    logged at DEBUG, their count once per file at WARNING. An unreadable
-    file raises OSError.
+    Returns (posts, n_malformed). Malformed lines (bytes that are not UTF-8,
+    bad JSON, missing or mistyped fields, duplicate post_id) are skipped and
+    counted: each is logged at DEBUG, their count once per file at WARNING.
+    Each stripped line is decoded once; text after its JSON value makes it
+    unparseable, as ``json.loads`` would. An unreadable file raises OSError.
     """
     posts: list[RawPost] = []
     seen_ids: set[str] = set()
     malformed = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    decode = json.JSONDecoder().raw_decode
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
+                if not line.isascii():
+                    line.encode("utf-8")  # a byte that is not UTF-8 is a lone surrogate here
+                obj, end = decode(line)
+            except (UnicodeEncodeError, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
                 malformed += 1
                 log.debug("%s:%d: unparseable record skipped", path, lineno)
                 continue
-            post = _parse_post(obj)
-            if post is None or post.post_id in seen_ids:
+            if not isinstance(obj, dict):
+                obj = {}  # no post_id: malformed
+            post_id, user_id, timestamp, urls, kind = map(obj.get, RawPost._fields)
+            if (not isinstance(post_id, str) or not post_id
+                    or not isinstance(user_id, str) or not user_id
+                    or not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool)
+                    or not isinstance(urls, list) or not all(isinstance(u, str) for u in urls)
+                    or kind not in POST_KINDS
+                    or post_id in seen_ids):
                 malformed += 1
                 log.debug("%s:%d: malformed or duplicate record skipped", path, lineno)
                 continue
-            seen_ids.add(post.post_id)
-            posts.append(post)
+            seen_ids.add(post_id)
+            posts.append(RawPost(post_id, user_id, float(timestamp), tuple(urls), kind))
     if malformed:
         log.warning("%s: skipped %d malformed records", path, malformed)
     return posts, malformed
@@ -274,11 +275,13 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     multiplicity, one event per post and canonical URL. Only posts of a kind
     in ``DEFAULT_INCLUDE_KINDS`` contribute.
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
+    Raw URLs that differ only in query or fragment share one split (``_split_key``).
     """
     interactions: set[tuple[str, str, str]] = set()
-    share_events: list[tuple[str, str, str]] = []
+    share_events: list[str] = []
     skipped = 0
-    url_parts = cache(_url_parts)  # one split per distinct raw URL
+    split = cache(_url_parts)
+    url_parts = cache(lambda raw: split(_split_key(raw)))  # one cut per distinct raw URL
     for post in posts:
         if post.kind not in DEFAULT_INCLUDE_KINDS:
             continue
@@ -293,7 +296,7 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
                 continue
             seen.add(url)
             interactions.add((post.user_id, url, domain))
-            share_events.append((post.user_id, url, post.post_id))
+            share_events.append(url)
     return Corpus(interactions=interactions, share_events=share_events, skipped_urls=skipped)
 
 

@@ -316,10 +316,10 @@ def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
         if c is not None:
             users_of[c].add(user)
     shares_of: dict[int, int] = defaultdict(int)
-    for _, url, _ in corpus.share_events:
+    for url, n in Counter(corpus.share_events).items():
         c = url_comm.get(url)
         if c is not None:
-            shares_of[c] += 1
+            shares_of[c] += n
     rows = [
         NecRow(
             community=c,

@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -191,8 +192,8 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
         raise ValueError("corpus is empty after ingest")
     write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
               sorted(corpus.interactions))
-    write_csv(stage_dir / "share_events.csv", ["user_id", "url", "post_id"],
-              sorted(corpus.share_events))
+    write_csv(stage_dir / "shares.csv", ["url", "n_shares"],
+              sorted(Counter(corpus.share_events).items()))
     write_csv(stage_dir / "publishers.csv", ["domain", "score", "label"],
               [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
     label_counts = {level.value: 0 for level in Label}
@@ -213,7 +214,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
 
 def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
     interactions = {tuple(row) for row in read_csv(stage_dir / "interactions.csv")}
-    share_events = [tuple(row) for row in read_csv(stage_dir / "share_events.csv")]
+    share_events = [url for url, n in read_csv(stage_dir / "shares.csv") for _ in range(int(n))]
     return Corpus(interactions, share_events, int(meta["n_skipped_urls"]))
 
 
@@ -556,11 +557,11 @@ class Stage:
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", "4", (), (),
-          lambda c: ("interactions.csv", "share_events.csv", "publishers.csv")),
+    Stage("ingest", "5", (), (),
+          lambda c: ("interactions.csv", "shares.csv", "publishers.csv")),
     Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
           lambda c: ("fitness.csv",)),
-    Stage("projection", "degree-class-1", ("bicm",), ("alpha",),
+    Stage("projection", "degree-class-2", ("bicm",), ("alpha",),
           lambda c: ("validated_edges.csv",)),
     Stage("nec", "2", ("ingest", "projection"), ("louvain_seed",),
           lambda c: ("partition.csv", "nec_summary.csv", "purity.csv")),

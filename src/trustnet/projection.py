@@ -4,16 +4,16 @@ For every URL pair sharing at least one user, the observed co-occurrence
 count is compared to its null distribution: a sum of independent Bernoulli
 variables with success probabilities p_{i,a} * p_{i,b} (one per user).
 
-Under the null a link probability depends only on the two fitnesses, so
-users with equal fitness form one class, and URLs another (a node with a
-forced link is a class of its own). A pair's count
-distribution then depends only on its unordered URL-class pair: it is the
-convolution of one Binomial(n_c, q_c) per user class c. One pmf per class
-pair serves every URL pair in it, and the tail at the observed count is
-summed directly, so far-tail p-values keep their relative precision. The
-p-values go through a Benjamini-Hochberg scan sized to all possible URL
-pairs; surviving pairs form the validated monopartite URL network. Pairs stay
-numpy arrays from the count to that cut: only validated edges become tuples.
+Under the null a link probability depends only on the two fitnesses and on
+whether the link is forced, so users with equal fitness and equal forced-link
+partners form one class, and URLs another. A pair's count distribution then
+depends only on its unordered URL-class pair: it is the convolution of one
+Binomial(n_c, q_c) per user class c. One pmf per class pair serves every URL
+pair in it, and the tail at the observed count is summed directly, so
+far-tail p-values keep their relative precision. The p-values go through a
+Benjamini-Hochberg scan sized to all possible URL pairs; surviving pairs form
+the validated monopartite URL network. Pairs stay numpy arrays from the count
+to that cut: only validated edges become tuples.
 """
 
 from __future__ import annotations
@@ -171,23 +171,32 @@ def poisson_binomial_tail(probs, k: int) -> float:
     return float(class_tails(values[None, :], sizes, np.zeros(1, dtype=np.int64), np.array([k]))[0])
 
 
-def _classes(fitness: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Class id per node: equal fitness, except that nodes in ``own`` stand alone."""
+def _classes(fitness: np.ndarray, node: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Class id per node: equal fitness and the same sorted forced partners, in that order.
+
+    Forced link t joins ``node[t]`` to ``partner[t]``; without any, classes are fitness ranks.
+    """
+    partners: dict[int, list[int]] = {}
+    for i, a in zip(node.tolist(), partner.tolist()):
+        partners.setdefault(i, []).append(a)
+    sets: dict[tuple[int, ...], int] = {}
+    forced = np.zeros(fitness.size, dtype=np.int64)
+    for i, group in partners.items():
+        forced[i] = sets.setdefault(tuple(sorted(group)), len(sets) + 1)
     ids = np.unique(fitness, return_inverse=True)[1]
-    own = np.unique(own)
-    ids[own] = ids.size + np.arange(own.size)
-    return np.unique(ids, return_inverse=True)[1]
+    return np.unique(ids * (len(sets) + 1) + forced, return_inverse=True)[1]
 
 
 def _class_probabilities(model: BicmModel):
     """(user-class x URL-class link probabilities, users per class, URL class ids).
 
     Entries equal ``bicm.probability_matrix``'s: forced links are 1, the other
-    links of a pinned node 0.
+    links of a pinned node 0. Users in one class share their forced URLs and URLs
+    in one class their forced users, so a class pair is forced for all its nodes or none.
     """
     forced = np.array(sorted(model.forced_links), dtype=np.int64).reshape(-1, 2)
-    user_cls = _classes(model.x, forced[:, 0])
-    url_cls = _classes(model.y, forced[:, 1])
+    user_cls = _classes(model.x, forced[:, 0], forced[:, 1])
+    url_cls = _classes(model.y, forced[:, 1], forced[:, 0])
     x = np.nan_to_num(model.x[np.unique(user_cls, return_index=True)[1]], posinf=0.0)
     y = np.nan_to_num(model.y[np.unique(url_cls, return_index=True)[1]], posinf=0.0)
     t = np.outer(x, y)

@@ -10,7 +10,7 @@ field by field and bit for bit.
 import dataclasses
 import random
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -157,8 +157,8 @@ def reloaded(corpus):
         stage_dir = Path(tmp)
         pipeline.write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
                            sorted(corpus.interactions))
-        pipeline.write_csv(stage_dir / "share_events.csv", ["user_id", "url", "post_id"],
-                           sorted(corpus.share_events))
+        pipeline.write_csv(stage_dir / "shares.csv", ["url", "n_shares"],
+                           sorted(Counter(corpus.share_events).items()))
         return pipeline.load_corpus(stage_dir, {"n_skipped_urls": corpus.skipped_urls})
 
 
@@ -204,9 +204,10 @@ class TestOracle:
     def test_random_worlds_match_the_set_based_path(self, world):
         corpus, network, kb, config = world
         profiles = check_against_oracle(corpus, network, kb, config)
-        # a rerun reads its corpus back from ingest/interactions.csv
+        # a rerun reads its corpus back from ingest/interactions.csv and shares.csv
         again = reloaded(corpus)
         assert again.index.users == corpus.index.users
+        assert Counter(again.share_events) == Counter(corpus.share_events)
         assert exact(check_against_oracle(again, network, kb, config)) == exact(profiles)
 
     def test_the_edge_cases_are_covered(self):
@@ -230,7 +231,11 @@ class TestOracle:
         everything = network_over(corpus, corpus.articles)
         assert check_against_oracle(corpus, everything, kb, config)[
             StrategyKind.DS_ALL_WO_USR_NEC] == []
-        check_against_oracle(reloaded(corpus), partial, kb, config)
+        again = reloaded(corpus)
+        assert sorted(again.share_events) == [
+            "https://n.com/b", "https://n.com/b", "https://t.com/a", "https://t.com/d",
+            "https://u.com/c", "https://u.com/c", "https://u.com/e"]
+        check_against_oracle(again, partial, kb, config)
 
 
 class TestIndex:

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import logging
+import operator
 import random
+import tempfile
+from collections import Counter
+from functools import cache
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from trustnet import ingest
 from trustnet.ingest import (
     DEFAULT_INCLUDE_KINDS,
+    Corpus,
     KnowledgeBaseError,
     Label,
     POST_KINDS,
@@ -22,6 +28,7 @@ from trustnet.ingest import (
     load_knowledge_base,
     load_posts,
 )
+from trustnet.synth import SyntheticSpec, generate_synthetic
 
 
 def _post(post_id, user, urls, kind="original", ts=1000.0):
@@ -111,6 +118,20 @@ class TestLoadPosts:
             (logging.WARNING, f"{p}: skipped 3 malformed records"),
         ]
 
+    def test_undecodable_line_is_malformed_not_fatal(self, tmp_path, caplog):
+        p = tmp_path / "posts.jsonl"
+        generate_synthetic(SyntheticSpec(30, 4, 5), p, tmp_path / "kb.csv")
+        lines = p.read_bytes().splitlines()[:50]
+        lines[10] = lines[10].replace(b'"post_id": "p', b'"post_id": "p\xff', 1)
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level(logging.DEBUG, logger="trustnet.ingest"):
+            posts, malformed = load_posts(p)
+        assert (len(posts), malformed) == (49, 1)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, f"{p}:11: unparseable record skipped"),
+            (logging.WARNING, f"{p}: skipped 1 malformed records"),
+        ]
+
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post("p0", "u1", ["https://a.com/x", "notaurl"]),
@@ -186,6 +207,14 @@ _url = st.builds(
 )
 
 
+# free text rich in the characters that delimit URL parts
+_free_url = st.builds(
+    operator.add,
+    st.sampled_from(["", "http://", "https://", "HTTPS://", "//", "a:", " \t"]),
+    st.text(alphabet=":/?#[]@.\t\n abAW1%\u00e9\uff03\uff1f", max_size=24),
+)
+
+
 class TestUrlPartsOracle:
     @given(_url)
     @settings(max_examples=400, deadline=None)
@@ -201,10 +230,18 @@ class TestUrlPartsOracle:
         assert extract_domain(url) == three_split_domain(url)
         assert canonical_url(url) == three_split_canonical(url)
 
+    @given(st.one_of(_url, _free_url))
+    @settings(max_examples=500, deadline=None)
+    def test_query_and_fragment_reach_no_part(self, raw):
+        assert ingest._url_parts(raw) == ingest._url_parts(ingest._split_key(raw))
+
     def test_each_raw_url_is_split_once_per_pass(self, tmp_path, monkeypatch):
-        raw = ["https://www.a.com/x?q=1", "http://B.org:443/y#f", "notaurl"]
+        # 7 raw spellings, 3 once their query and fragment are cut off
+        raw = ["https://www.a.com/x?q=1", "http://B.org:443/y#f", "notaurl",
+               "https://www.a.com/x?q=2#g", "https://www.a.com/x#h", "http://B.org:443/y",
+               "notaurl?x"]
         write_posts(tmp_path / "posts.jsonl", [
-            _post(f"p{i}", f"u{i % 7}", [raw[i % 3], raw[(i + 1) % 3]]) for i in range(50)
+            _post(f"p{i}", f"u{i % 7}", [raw[i % 7], raw[(i + 1) % 7]]) for i in range(50)
         ])
         calls = []
 
@@ -215,7 +252,8 @@ class TestUrlPartsOracle:
         monkeypatch.setattr(ingest, "urlsplit", counting)
         posts, _ = load_posts(tmp_path / "posts.jsonl")
         corpus = build_corpus(posts)
-        assert len(calls) <= 3  # 3 distinct raw URLs, split only by build_corpus
+        # split only by build_corpus, once per raw URL without its query and fragment
+        assert sorted(calls) == ["http://B.org:443/y", "https://www.a.com/x", "notaurl"]
         assert corpus.articles == {"https://a.com/x", "http://b.org/y"}
 
 
@@ -236,8 +274,7 @@ class TestBuildCorpus:
         ]
         corpus = build_corpus(posts)
         assert corpus.interactions == {("u1", "https://a.com/x", "a.com")}
-        assert corpus.share_events == [
-            ("u1", "https://a.com/x", "p1"), ("u1", "https://a.com/x", "p2")]
+        assert corpus.share_events == ["https://a.com/x", "https://a.com/x"]
 
     def test_quote_posts_never_contribute(self):
         posts = [RawPost("p1", "u1", 0.0, ("https://a.com/x",), "quote")]
@@ -408,3 +445,172 @@ class TestCorpusGroupings:
         corpus = build_corpus([RawPost("p1", "u1", 0.0, ("https://a.com/x",), "original")])
         with pytest.raises(dataclasses.FrozenInstanceError):
             corpus.url_publisher = {}
+
+
+# ``_parse_post``, ``load_posts`` (without its log records) and ``build_corpus`` as
+# they were before ingest decoded each line once, split each URL without its query
+# and fragment, and kept one URL per share event; kept as the oracle of the current ones.
+
+@dataclasses.dataclass(frozen=True)
+class OraclePost:
+    post_id: str
+    user_id: str
+    timestamp: float
+    urls: tuple[str, ...]
+    kind: str
+
+
+def parse_post_oracle(obj):
+    if not isinstance(obj, dict):
+        return None
+    post_id = obj.get("post_id")
+    user_id = obj.get("user_id")
+    timestamp = obj.get("timestamp")
+    urls = obj.get("urls")
+    kind = obj.get("kind")
+    if not isinstance(post_id, str) or not post_id:
+        return None
+    if not isinstance(user_id, str) or not user_id:
+        return None
+    if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
+        return None
+    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
+        return None
+    if kind not in POST_KINDS:
+        return None
+    return OraclePost(post_id, user_id, float(timestamp), tuple(urls), kind)
+
+
+def load_posts_oracle(path):
+    posts = []
+    seen_ids = set()
+    malformed = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                malformed += 1
+                continue
+            post = parse_post_oracle(obj)
+            if post is None or post.post_id in seen_ids:
+                malformed += 1
+                continue
+            seen_ids.add(post.post_id)
+            posts.append(post)
+    return posts, malformed
+
+
+def build_corpus_oracle(posts):
+    interactions = set()
+    share_events = []
+    skipped = 0
+    url_parts = cache(ingest._url_parts)  # one split per distinct raw URL
+    for post in posts:
+        if post.kind not in DEFAULT_INCLUDE_KINDS:
+            continue
+        seen = set()  # canonical URLs of this post
+        for raw_url in post.urls:
+            parts = url_parts(raw_url)
+            if parts is None:
+                skipped += 1
+                continue
+            url, domain = parts
+            if url in seen:
+                continue
+            seen.add(url)
+            interactions.add((post.user_id, url, domain))
+            share_events.append((post.user_id, url, post.post_id))
+    return Corpus(interactions=interactions, share_events=share_events, skipped_urls=skipped)
+
+
+def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
+    """Both ingests of one posts file agree; the current one's (posts, malformed, corpus)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "posts.jsonl"
+        path.write_bytes(data)
+        posts, malformed = load_posts(path)
+        want_posts, want_malformed = load_posts_oracle(path)
+    assert [tuple(p) for p in posts] == [dataclasses.astuple(p) for p in want_posts]
+    assert malformed == want_malformed
+    corpus, want = build_corpus(posts), build_corpus_oracle(want_posts)
+    assert corpus.skipped_urls == want.skipped_urls
+    assert corpus.interactions == want.interactions
+    assert Counter(corpus.share_events) == Counter(url for _, url, _ in want.share_events)
+    return posts, malformed, corpus
+
+
+# spellings of one article (case, www., port, query, fragment, tab), others and hostless ones
+_variants = st.sampled_from([
+    "https://a.com/x", "https://A.com/x#top", "https://www.a.com:443/x?utm=1", "https://a.com/x?",
+    "https://a.com/\tx", "ht\ttps://a.com/x", "https://b.org/y", "HTTP://B.org/y#f",
+    "notaurl", "example.com/x", "", "https://./p", "http://[bad-host/x",
+])
+_records = st.one_of(
+    st.fixed_dictionaries({
+        "post_id": st.sampled_from(["p1", "p2", "p3", "p4", "p5", 'p"q', "pé"]),
+        "user_id": st.sampled_from(["u1", "u2", 'u"3']),
+        "timestamp": st.sampled_from([1000, 1.5]),
+        "urls": st.lists(st.one_of(_variants, _url), max_size=4),
+        "kind": st.sampled_from(POST_KINDS),
+    }),
+    st.fixed_dictionaries({}, optional={
+        "post_id": st.sampled_from(["p1", "p6", "", 7, None]),
+        "user_id": st.sampled_from(["u1", "", 3, None]),
+        "timestamp": st.sampled_from([1000, -2.5, True, False, "1000", None]),
+        "urls": st.one_of(st.lists(st.one_of(_variants, st.integers(0, 3), st.none()), max_size=3),
+                          st.sampled_from(["https://a.com/x", None])),
+        "kind": st.sampled_from([*POST_KINDS, "repost", "", None]),
+    }),
+)
+_record_lines = st.builds(json.dumps, _records, ensure_ascii=st.booleans())
+_lines = st.one_of(
+    _record_lines,
+    _record_lines,
+    _record_lines.map(lambda s: s + " x"),  # extra data
+    _record_lines.map(lambda s: s + "{}"),
+    _record_lines.map(lambda s: s[: len(s) // 2]),  # truncated
+    _record_lines.map(lambda s: "\ufeff" + s),  # a byte-order mark inside the file
+    _record_lines.map(lambda s: "\x0c " + s + "  "),  # whitespace that strip removes
+    st.sampled_from(["", "   ", "{not json", "[1, 2]", "3", '"str"', "null", "{}"]),
+)
+
+#: a file with every case the random files draw, each at least once
+EVERY_CASE = [
+    json.dumps(_post("p1", "u1", ["https://a.com/x?utm=1", "https://A.com/x#top"])),
+    "\x0c " + json.dumps(_post("p9", "u1", ["https://d.io/w"])) + "  ",
+    json.dumps(_post("p2", "u1", ["https://www.a.com:443/x", "notaurl", "https://b.org/\ty"])),
+    json.dumps(_post("p1", "u2", ["https://a.com/x"])),  # duplicate post id
+    json.dumps(_post("p3", "u2", ["https://b.org/y"], kind="quote")),
+    json.dumps(_post('p"4', "ué", ["https://b.org/y#f"], kind="reply"), ensure_ascii=False),
+    json.dumps(_post("p5", "u3", ["https://c.net/z"], ts=True)),
+    json.dumps(_post("p6", "u3", ["https://c.net/z", 3])),
+    json.dumps(_post("", "u3", [])),
+    json.dumps(_post("p7", "u3", ["https://c.net/z"])) + " x",
+    "\ufeff" + json.dumps(_post("p8", "u3", [])),
+    "{not json",
+    "",
+    "[1, 2]",
+]
+
+
+class TestIngestOracle:
+    @given(st.booleans(), st.lists(st.tuples(_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                                   max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_random_files_match_the_oracle(self, bom, lines):
+        data = "".join(line + end for line, end in lines).encode("utf-8")
+        ingest_matches_oracle(b"\xef\xbb\xbf" + data if bom else data)
+
+    def test_every_case_matches_the_oracle(self):
+        data = "\ufeff" + "\r\n".join(EVERY_CASE[:7]) + "\r" + "\n".join(EVERY_CASE[7:])
+        posts, malformed, corpus = ingest_matches_oracle(data.encode("utf-8"))
+        assert [p.post_id for p in posts] == ["p1", "p9", "p2", "p3", 'p"4']
+        assert malformed == 8
+        assert corpus.skipped_urls == 1
+        assert sorted(corpus.share_events) == [
+            "https://a.com/x", "https://a.com/x", "https://b.org/y", "https://b.org/y",
+            "https://d.io/w"]

@@ -334,7 +334,7 @@ class TestNecSummary:
             members = {u for u, cc in assignment.items() if cc == c}
             users = {usr for usr, u, _ in corpus.interactions if u in members}
             pubs = {corpus.url_publisher[u] for u in members}
-            shares = sum(1 for _, u, _ in corpus.share_events if u in members)
+            shares = sum(1 for post in posts if post.urls[0] in members)
             row = rows[c]
             assert row.n_users == len(users)
             assert row.n_distinct_urls == len(members)

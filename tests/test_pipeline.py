@@ -53,7 +53,7 @@ def run(inputs, tmp_path_factory):
 
 
 STAGE_FILES = {
-    "ingest": ["meta.json", "interactions.csv", "share_events.csv", "publishers.csv"],
+    "ingest": ["meta.json", "interactions.csv", "shares.csv", "publishers.csv"],
     "bicm": ["meta.json", "fitness.csv"],
     "projection": ["meta.json", "validated_edges.csv"],
     "nec": ["meta.json", "partition.csv", "nec_summary.csv", "purity.csv"],
@@ -66,15 +66,15 @@ STAGE_FILES = {
 #: SHA-256 of each stage directory of the ``run`` fixture, keyed by (stage, tag),
 #: and of its report.json. A stage whose bytes change gets a new tag.
 PINS = {
-    ("ingest", "4"): "0f8126018ed8019988f1568d9aee98657fc67783755280fc9e6ffdaa061f73e8",
+    ("ingest", "5"): "fb6592da6089eb86683eac84159da911bfca253261ccb5d70af700857f9fe6ab",
     ("bicm", "1"): "0fee5f3649935debd1e54435a6c67a2e70bced57e03070b0b0f8973a10d122da",
-    ("projection", "degree-class-1"):
+    ("projection", "degree-class-2"):
         "89369fb5f1a3ac8293429c3bb29d5ee9b4cc679e040c3b1cbf16ab26dc1d15b2",
     ("nec", "2"): "4829daba0e741de4da6248bb54fe1e809a75c971cffb0163b1696ae0c2bbdbb3",
     ("voters", "2"): "98efcf600c8efb0254ec1f56cfcda91d4241be73d81677daac4a805edc8bacb5",
     ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
     ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
-    "report.json": "f2d683ea707a9176e97d0731cbd0c4d8c37624d81057afb9743dcfb5842a5423",
+    "report.json": "cf872486f712ef2b5c299f70d2af06510a4147ae296dca0f9afd3ebfb638b024",
 }
 
 
@@ -238,6 +238,19 @@ class TestDeterminism:
             rerun = run_pipeline(config)
         assert "ingest: reusing cached artifacts" in caplog.messages
         assert rerun.corpus.skipped_urls == 1
+
+    def test_louvain_seed_rerun_counts_shares_from_the_reused_ingest(self, inputs, tmp_path,
+                                                                     caplog):
+        rerun = tmp_path / "rerun"
+        run_pipeline(make_config(inputs, rerun, theta_max=2))
+        with caplog.at_level(logging.INFO):
+            run_pipeline(make_config(inputs, rerun, theta_max=2, louvain_seed=1))
+        assert "ingest: reusing cached artifacts" in caplog.messages
+        assert "nec: reusing cached artifacts" not in caplog.messages
+        fresh = tmp_path / "fresh"
+        run_pipeline(make_config(inputs, fresh, theta_max=2, louvain_seed=1))
+        summary = Path("nec", "nec_summary.csv")
+        assert (rerun / summary).read_bytes() == (fresh / summary).read_bytes()
 
     def test_rerun_reads_each_checked_meta_once(self, inputs, tmp_path, monkeypatch):
         config = make_config(inputs, tmp_path / "reads", theta_max=2)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from trustnet import bicm, projection
+from trustnet.ingest import RawPost, build_corpus, load_posts
+from trustnet.synth import SyntheticSpec, generate_synthetic
 
 
 def tail_by_enumeration(probs, k):
@@ -227,6 +229,26 @@ def pair_tests_oracle(graph, model):
     ]
 
 
+def singleton_class_probabilities(model):
+    """``_class_probabilities`` as it was when each node with a forced link stood alone."""
+
+    def classes(fitness, own):
+        ids = np.unique(fitness, return_inverse=True)[1]
+        own = np.unique(own)
+        ids[own] = ids.size + np.arange(own.size)
+        return np.unique(ids, return_inverse=True)[1]
+
+    forced = np.array(sorted(model.forced_links), dtype=np.int64).reshape(-1, 2)
+    user_cls = classes(model.x, forced[:, 0])
+    url_cls = classes(model.y, forced[:, 1])
+    x = np.nan_to_num(model.x[np.unique(user_cls, return_index=True)[1]], posinf=0.0)
+    y = np.nan_to_num(model.y[np.unique(url_cls, return_index=True)[1]], posinf=0.0)
+    t = np.outer(x, y)
+    p = t / (1.0 + t)
+    p[user_cls[forced[:, 0]], url_cls[forced[:, 1]]] = 1.0
+    return p, np.bincount(user_cls), url_cls
+
+
 def graph_of(adj):
     links = [(f"u{i:02d}", f"a{j:02d}") for i, j in zip(*np.nonzero(adj))]
     return bicm.BipartiteGraph.from_links(links)
@@ -301,6 +323,28 @@ class TestClassReduction:
         net = projection.validate_projection(g, bicm.solve(g))
         assert net.n_tested > 0 and net.n_edges > 0
         assert made == []
+
+    def test_a_url_every_user_shares_keeps_the_fitness_classes(self, tmp_path, monkeypatch):
+        # planted scale M, seed 0, plus one URL that every user shares: one forced link per user
+        generate_synthetic(SyntheticSpec(500, 20, 15, seed=0), tmp_path / "posts.jsonl",
+                           tmp_path / "kb.csv")
+        posts, _ = load_posts(tmp_path / "posts.jsonl")
+        posts += [RawPost(f"all-{u}", u, 0.0, ("https://everyone.com/story",), "original")
+                  for u in sorted({p.user_id for p in posts})]
+        graph = bicm.build_graph(build_corpus(posts))
+        model = bicm.solve(graph)
+        assert len(model.forced_links) == graph.n_users
+        _, sizes, _ = projection._class_probabilities(model)
+        assert sizes.size == np.unique(model.x).size
+        tests = projection.pair_pvalues(graph, model)
+        network = projection.validate_projection(graph, model)
+        monkeypatch.setattr(projection, "_class_probabilities", singleton_class_probabilities)
+        assert singleton_class_probabilities(model)[1].size == graph.n_users
+        want_tests = projection.pair_pvalues(graph, model)
+        want = projection.validate_projection(graph, model)
+        assert network.n_edges > 0
+        assert [e[:2] for e in network.edges] == [e[:2] for e in want.edges]
+        np.testing.assert_allclose(tests.pvalue, want_tests.pvalue, rtol=1e-12, atol=0.0)
 
 
 def bh_oracle(pvalues, alpha, m):
