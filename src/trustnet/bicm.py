@@ -62,15 +62,15 @@ class BipartiteGraph:
     @classmethod
     def from_links(cls, links: Iterable[tuple[str, str]]) -> "BipartiteGraph":
         """Build from (user_id, url_id) pairs; ids sorted, zero-degree nodes dropped."""
-        pairs = set(links)
+        pairs = list(links)
         if not pairs:
             raise ValueError("cannot build a bipartite graph with no links")
-        return cls(*incidence(pairs))
+        return cls(*incidence(*zip(*pairs)))
 
 
 def build_graph(corpus: Corpus) -> BipartiteGraph:
     """One link per corpus interaction: the user × URL matrix of ``corpus.index``."""
-    if not corpus.interactions:
+    if not corpus.link_url.size:
         raise ValueError("empty corpus")
     index = corpus.index
     return BipartiteGraph(index.users, index.urls, index.user_urls)
@@ -315,5 +315,5 @@ def sample(graph: BipartiteGraph, model: BicmModel, seed: int) -> BipartiteGraph
     p = probability_matrix(model)
     hits = rng.random(p.shape) < p
     rows, cols = np.nonzero(hits)
-    return BipartiteGraph(*incidence({(graph.user_ids[i], graph.url_ids[a])
-                                      for i, a in zip(rows, cols)}))
+    return BipartiteGraph(*incidence([graph.user_ids[i] for i in rows.tolist()],
+                                     [graph.url_ids[a] for a in cols.tolist()]))

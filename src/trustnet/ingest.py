@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, reduce
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -71,42 +71,65 @@ class KnowledgeBase:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Deduplicated user-URL-publisher interactions plus the share events behind them.
+    """Deduplicated user-URL links as read-only int64 code arrays, plus each URL's share count.
 
-    ``interactions`` is a set of (user_id, url, publisher) triples, one per
-    distinct (user, url) pair. ``share_events`` keeps post multiplicity: the
-    canonical URL of each share event, one per post and canonical URL. Only
-    its count per URL is read, and a reused ingest lists it sorted. Nothing
-    changes a corpus once it is built, so each grouping below is derived
-    from ``interactions`` once, on first use:
+    ``users`` and ``urls`` are the sorted distinct ids; URL j's publisher is
+    ``domains[j]`` and its share events (one per post and canonical URL) number
+    ``shares[j]``. Link k joins ``users[link_user[k]]`` to ``urls[link_url[k]]``,
+    one per distinct pair, in ascending (user, URL) order: ``sorted(interactions)``.
+    Nothing changes a corpus once it is built, so each grouping below is derived once:
 
-    * ``users``, ``articles`` and ``publishers``: the distinct ids;
-    * ``url_publisher``: URL -> its publisher;
-    * ``user_urls``: user -> the URLs they shared;
-    * ``user_publishers``: user -> the publishers they shared; its size is
-      the user's information diet;
-    * ``index``: the same links as sparse matrices (``CorpusIndex``).
+    * ``index``: the links as sparse matrices (``CorpusIndex``), which the stages read;
+    * ``interactions``: the (user_id, url, publisher) triples; ``share_events``:
+      each share event's URL, sorted; ``articles``, ``publishers``: the distinct ids;
+    * ``url_publisher``: URL -> its publisher; ``user_urls``: user -> the URLs they
+      shared; ``user_publishers``: user -> their publishers, whose count is their diet.
     """
 
-    interactions: set[tuple[str, str, str]]
-    share_events: list[str]
+    users: tuple[str, ...]
+    urls: tuple[str, ...]
+    domains: tuple[str, ...]
+    link_user: np.ndarray
+    link_url: np.ndarray
+    shares: np.ndarray
     skipped_urls: int = 0
 
+    def __post_init__(self):
+        for array in (self.link_user, self.link_url, self.shares):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_links(cls, users: Sequence[str], urls: Sequence[str], domain: Mapping[str, str],
+                   shares: Mapping[str, int], skipped_urls: int = 0) -> "Corpus":
+        """Links (users[k], urls[k]), repeated and in any order; per URL its publisher and shares."""
+        user_ids, url_ids, user, url = _links(users, urls)
+        return cls(user_ids, url_ids, tuple(map(domain.__getitem__, url_ids)), user, url,
+                   np.array([shares[u] for u in url_ids], dtype=np.int64), skipped_urls)
+
+    def link_rows(self) -> Iterator[tuple[str, str, str]]:
+        """(user_id, url, publisher) per link, in link order: ``sorted(interactions)``."""
+        return zip(_take(self.users, self.link_user), _take(self.urls, self.link_url),
+                   _take(self.domains, self.link_url))
+
     @cached_property
-    def users(self) -> frozenset[str]:
-        return frozenset(u for u, _, _ in self.interactions)
+    def interactions(self) -> set[tuple[str, str, str]]:
+        return set(self.link_rows())
+
+    @cached_property
+    def share_events(self) -> list[str]:
+        return _take(self.urls, np.repeat(np.arange(len(self.urls)), self.shares))
 
     @cached_property
     def url_publisher(self) -> dict[str, str]:
-        return {url: pub for _, url, pub in self.interactions}
+        return dict(zip(self.urls, self.domains))
 
     @cached_property
     def articles(self) -> frozenset[str]:
-        return frozenset(self.url_publisher)
+        return frozenset(self.urls)
 
     @cached_property
     def publishers(self) -> frozenset[str]:
-        return frozenset(self.url_publisher.values())
+        return frozenset(self.domains)
 
     @cached_property
     def user_urls(self) -> dict[str, frozenset[str]]:
@@ -118,13 +141,16 @@ class Corpus:
 
     @cached_property
     def index(self) -> "CorpusIndex":
-        users, urls, a = incidence({(user, url) for user, url, _ in self.interactions})
-        column = {p: k for k, p in enumerate(sorted(self.publishers))}
-        codes = np.array([column[self.url_publisher[url]] for url in urls], dtype=np.int64)
-        b = (a @ sparse.csr_matrix((np.ones_like(codes), (np.arange(len(urls)), codes)),
-                                   shape=(len(urls), len(column)))).sign().sorted_indices()
-        return CorpusIndex(users, urls, tuple(column), a, codes, b, b.T.tocsr(),
-                           {u: i for i, u in enumerate(users)})
+        publishers, codes = _ranks(self.domains)
+        n = len(publishers)
+        pairs = np.unique(self.link_user * n + codes[self.link_url])
+        a = _csr(self.link_user, self.link_url, (len(self.users), len(self.urls)))
+        b = _csr(pairs // n, pairs % n, (len(self.users), len(publishers)))
+        bt = b.T.tocsr()
+        for array in (codes, *(x for m in (a, b, bt) for x in (m.data, m.indices, m.indptr))):
+            array.flags.writeable = False
+        return CorpusIndex(self.users, self.urls, publishers, a, codes, b, bt,
+                           {u: i for i, u in enumerate(self.users)})
 
 
 @dataclass(frozen=True)
@@ -135,6 +161,7 @@ class CorpusIndex:
     publishers), Bᵀ = ``publisher_users``; ``url_publisher[j]`` is URL j's
     column in B. Each row's column indices ascend, so a product with a dense
     float vector adds a row's terms in ascending column order, from 0.0.
+    Every array is read-only.
     """
 
     users: tuple[str, ...]
@@ -147,15 +174,34 @@ class CorpusIndex:
     user_row: dict[str, int]
 
 
-def incidence(pairs: set[tuple[str, str]]) -> tuple[tuple, tuple, sparse.csr_matrix]:
+def _ranks(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values sorted, and the rank of each value among them."""
+    ids = tuple(sorted(set(values)))
+    rank = {v: r for r, v in enumerate(ids)}
+    return ids, np.fromiter(map(rank.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _take(ids: Sequence[str], codes: np.ndarray) -> list[str]:
+    return np.array(ids, dtype=object)[codes].tolist()
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
+    return sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
+
+
+def _links(rows: Sequence[str], cols: Sequence[str]):
+    """Sorted row and column ids, and the distinct (rows[k], cols[k]) as ascending rank pairs."""
+    row_ids, i = _ranks(rows)
+    col_ids, j = _ranks(cols)
+    n = len(col_ids)
+    pairs = np.unique(i * n + j)
+    return row_ids, col_ids, pairs // n, pairs % n
+
+
+def incidence(rows: Sequence[str], cols: Sequence[str]) -> tuple[tuple, tuple, sparse.csr_matrix]:
     """Sorted row ids, sorted column ids and the binary int64 CSR of the distinct pairs."""
-    rows = tuple(sorted({r for r, _ in pairs}))
-    cols = tuple(sorted({c for _, c in pairs}))
-    ridx = {r: i for i, r in enumerate(rows)}
-    cidx = {c: j for j, c in enumerate(cols)}
-    i = np.fromiter((ridx[r] for r, _ in pairs), dtype=np.int64, count=len(pairs))
-    j = np.fromiter((cidx[c] for _, c in pairs), dtype=np.int64, count=len(pairs))
-    return rows, cols, sparse.csr_matrix((np.ones_like(i), (i, j)), shape=(len(rows), len(cols)))
+    row_ids, col_ids, i, j = _links(rows, cols)
+    return row_ids, col_ids, _csr(i, j, (len(row_ids), len(col_ids)))
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -276,9 +322,11 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     in ``DEFAULT_INCLUDE_KINDS`` contribute.
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
     Raw URLs that differ only in query or fragment share one split (``_split_key``).
+    Each share event adds its user and URL to two lists that ``Corpus.from_links`` ranks once.
     """
-    interactions: set[tuple[str, str, str]] = set()
-    share_events: list[str] = []
+    users: list[str] = []  # per share event
+    urls: list[str] = []
+    domain: dict[str, str] = {}
     skipped = 0
     split = cache(_url_parts)
     url_parts = cache(lambda raw: split(_split_key(raw)))  # one cut per distinct raw URL
@@ -291,13 +339,14 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
             if parts is None:
                 skipped += 1
                 continue
-            url, domain = parts
+            url, host = parts
             if url in seen:
                 continue
             seen.add(url)
-            interactions.add((post.user_id, url, domain))
-            share_events.append(url)
-    return Corpus(interactions=interactions, share_events=share_events, skipped_urls=skipped)
+            users.append(post.user_id)
+            urls.append(url)
+            domain[url] = host
+    return Corpus.from_links(users, urls, domain, Counter(urls), skipped)
 
 
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:

@@ -12,6 +12,9 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+from scipy import sparse
+
 from .ingest import Corpus, KnowledgeBase, Label, fold_sum
 from .projection import ValidatedNetwork
 
@@ -306,29 +309,27 @@ def _label_share(urls: Collection[str], corpus: Corpus, kb: KnowledgeBase, level
 
 
 def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
-    """Per-community engagement statistics, largest user base first."""
-    users_of: dict[int, set[str]] = defaultdict(set)
-    url_comm = {
-        u: c for u, c in partition.assignment.items() if c != UNCLUSTERED
-    }
-    for user, url, _ in corpus.interactions:
-        c = url_comm.get(url)
-        if c is not None:
-            users_of[c].add(user)
-    shares_of: dict[int, int] = defaultdict(int)
-    for url, n in Counter(corpus.share_events).items():
-        c = url_comm.get(url)
-        if c is not None:
-            shares_of[c] += n
+    """Per-community engagement statistics, largest user base first.
+
+    With M the URL × community membership, a community's users are its column's
+    nonzeros in ``corpus.index.user_urls``·M, and its shares ``corpus.shares``·M.
+    """
+    ids = partition.community_ids()
+    column = {c: k for k, c in enumerate(ids)}  # one more column takes every other URL
+    cols = [column.get(partition.assignment.get(url), len(ids)) for url in corpus.urls]
+    member = sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (range(len(cols)), cols)),
+                               shape=(len(cols), len(ids) + 1))
+    n_users = (corpus.index.user_urls @ member).getnnz(axis=0).tolist()
+    n_shares = (member.T @ corpus.shares).tolist()
     rows = [
         NecRow(
             community=c,
-            n_users=len(users_of[c]),
+            n_users=n_users[k],
             n_distinct_urls=len(partition.members(c)),
             n_publishers=len({corpus.url_publisher[u] for u in partition.members(c)}),
-            n_shares=shares_of[c],
+            n_shares=n_shares[k],
         )
-        for c in partition.community_ids()
+        for k, c in enumerate(ids)
     ]
     rows.sort(key=lambda r: (-r.n_users, r.community))
     return rows

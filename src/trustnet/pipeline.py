@@ -188,34 +188,32 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
         return (load_corpus(stage_dir, cached), kb), cached
     posts, malformed = load_posts(config.posts)
     corpus = build_corpus(posts)
-    if not corpus.interactions:
+    if not corpus.link_url.size:
         raise ValueError("corpus is empty after ingest")
-    write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
-              sorted(corpus.interactions))
-    write_csv(stage_dir / "shares.csv", ["url", "n_shares"],
-              sorted(Counter(corpus.share_events).items()))
+    write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"], corpus.link_rows())
+    write_csv(stage_dir / "shares.csv", ["url", "n_shares"], zip(corpus.urls, corpus.shares.tolist()))
     write_csv(stage_dir / "publishers.csv", ["domain", "score", "label"],
               [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
-    label_counts = {level.value: 0 for level in Label}
-    for p in corpus.publishers:
-        label_counts[kb.label(p).value] += 1
+    labels = Counter(kb.label(p) for p in corpus.publishers)
     return (corpus, kb), {
         "n_posts": len(posts),
         "n_malformed": malformed,
         "n_skipped_urls": corpus.skipped_urls,
         "n_users": len(corpus.users),
-        "n_articles": len(corpus.articles),
+        "n_articles": len(corpus.urls),
         "n_publishers": len(corpus.publishers),
-        "n_interactions": len(corpus.interactions),
-        "n_share_events": len(corpus.share_events),
-        "publisher_labels": label_counts,
+        "n_interactions": corpus.link_url.size,
+        "n_share_events": int(corpus.shares.sum()),
+        "publisher_labels": {level.value: labels[level] for level in Label},
     }
 
 
 def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
-    interactions = {tuple(row) for row in read_csv(stage_dir / "interactions.csv")}
-    share_events = [url for url, n in read_csv(stage_dir / "shares.csv") for _ in range(int(n))]
-    return Corpus(interactions, share_events, int(meta["n_skipped_urls"]))
+    """The ingest stage's corpus, read back from ``interactions.csv`` and ``shares.csv``."""
+    users, urls, domains = zip(*read_csv(stage_dir / "interactions.csv"))
+    shares = {url: int(n) for url, n in read_csv(stage_dir / "shares.csv")}
+    return Corpus.from_links(users, urls, dict(zip(urls, domains)), shares,
+                             int(meta["n_skipped_urls"]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ whether the link is forced, so users with equal fitness and equal forced-link
 partners form one class, and URLs another. A pair's count distribution then
 depends only on its unordered URL-class pair: it is the convolution of one
 Binomial(n_c, q_c) per user class c. One pmf per class pair serves every URL
-pair in it, and the tail at the observed count is summed directly, so
-far-tail p-values keep their relative precision. The p-values go through a
+pair in it, built count-major (a row per count, a column per class pair), and
+the tail at the observed count is summed directly, so far-tail p-values keep
+their relative precision. The p-values go through a
 Benjamini-Hochberg scan sized to all possible URL pairs; surviving pairs form
 the validated monopartite URL network. Pairs stay numpy arrays from the count
 to that cut: only validated edges become tuples.
@@ -105,19 +106,26 @@ def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:
 
 
 def _class_pmfs(q: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
-    """Pmf over 0..length-1 of sum_c Binomial(sizes[c], q[r, c]), per row r of q.
+    """Pmf over 0..length-1 of sum_c Binomial(sizes[c], q[r, c]), count-major: [k, r] is P(V_r = k).
 
     Entries below ``length`` need only entries below it: the truncation is exact.
+    No count above ``top`` has mass yet, so only those terms are added; each skipped
+    one is an exact 0.0 and the rest add in ascending j order, bit for bit as in full.
     """
-    pmf = np.zeros((q.shape[0], length))
-    pmf[:, 0] = 1.0
+    pmf = np.zeros((length, q.shape[0]))
+    pmf[0] = 1.0
+    out, term = np.zeros_like(pmf), np.empty_like(pmf)
+    top = 0
     for n, qc in zip(sizes.tolist(), q.T):
         if qc.any():
-            factor = _binomial_pmfs(n, qc, min(n + 1, length))
-            out = pmf * factor[:, :1]
-            for j in range(1, factor.shape[1]):
-                out[:, j:] += pmf[:, : length - j] * factor[:, j : j + 1]
-            pmf = out
+            factor = np.ascontiguousarray(_binomial_pmfs(n, qc, min(n + 1, length)).T)
+            reach = min(top + n, length - 1) + 1
+            np.multiply(pmf[:reach], factor[0], out=out[:reach])
+            for j in range(1, factor.shape[0]):
+                m = min(top + 1, length - j)
+                np.multiply(pmf[:m], factor[j], out=term[:m])
+                out[j : j + m] += term[:m]
+            pmf, out, top = out, pmf, reach - 1
     return pmf
 
 
@@ -142,15 +150,15 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
         bits = np.ceil(np.log2(need[pending])).astype(np.int64)
         batch, length = pending[bits == bits.min()], 1 << int(bits.min())
         pmf = _class_pmfs(q[batch], sizes, length)
-        above = np.cumsum(np.pad(pmf, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
-        last = pmf[:, -1]
-        smallest = above[np.arange(batch.size), np.minimum(kmax[batch], length)]
+        above = np.cumsum(np.pad(pmf, ((0, 1), (0, 0)))[::-1], axis=0)[::-1]
+        last = pmf[-1]
+        smallest = above[np.minimum(kmax[batch], length), np.arange(batch.size)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = last / pmf[:, max(length - 2, 0)]
+            r = last / pmf[max(length - 2, 0)]
             done = (length > support[batch]) | (last == 0.0) | (
                 (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
         hit = np.isin(rows, batch[done])
-        tails[hit] = above[np.searchsorted(batch, rows[hit]), np.minimum(ks[hit], length)]
+        tails[hit] = above[np.minimum(ks[hit], length), np.searchsorted(batch, rows[hit])]
         need[batch] = np.minimum(support[batch] + 1, 2 * length)
         pending = np.setdiff1d(pending, batch[done])
     return np.where(ks == 0, 1.0, np.minimum(tails, 1.0))

@@ -35,9 +35,11 @@ class VoterProfile:
 
 
 def discussion_supporters(corpus: Corpus, validated: ValidatedNetwork) -> set[str]:
-    """Users who shared at least one URL of the validated network."""
-    a_val = validated.validated_urls()
-    return {user for user, url, _ in corpus.interactions if url in a_val}
+    """Users who shared a URL of the validated network: rows of ``corpus.index.user_urls``
+    with a link to a validated column."""
+    index, a_val = corpus.index, validated.validated_urls()
+    in_val = np.array([url in a_val for url in index.urls], dtype=np.int64)
+    return {index.users[i] for i in np.flatnonzero(index.user_urls @ in_val).tolist()}
 
 
 def select_voters(
@@ -47,7 +49,7 @@ def select_voters(
         return set(corpus.users)
     ds = discussion_supporters(corpus, validated)
     if strategy is StrategyKind.DS_ALL_WO_USR_NEC:
-        return set(corpus.users - ds)
+        return set(corpus.users) - ds
     return ds
 
 

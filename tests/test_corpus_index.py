@@ -151,15 +151,33 @@ def check_against_oracle(corpus, network, kb, config):
     return profiles
 
 
+def corpus_arrays(corpus):
+    """Every id tuple, int64 code array and index matrix of a corpus, as plain values."""
+    index = corpus.index
+    arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
+    matrices = (index.user_urls, index.user_publishers, index.publisher_users)
+    assert all(a.dtype == np.int64 for a in arrays + tuple(m.data for m in matrices))
+    return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
+             index.users, index.urls, index.publishers, index.user_row]
+            + [a.tolist() for a in arrays]
+            + [(m.shape, m.data.tolist(), m.indices.tolist(), m.indptr.tolist()) for m in matrices])
+
+
 def reloaded(corpus):
-    """The corpus as a rerun reads it back from its ingest stage directory."""
+    """The corpus as a rerun reads it back from its ingest stage directory.
+
+    The directory holds the set-based stage's bytes; the reload has the
+    fresh corpus's arrays and index matrices.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         stage_dir = Path(tmp)
         pipeline.write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"],
                            sorted(corpus.interactions))
         pipeline.write_csv(stage_dir / "shares.csv", ["url", "n_shares"],
                            sorted(Counter(corpus.share_events).items()))
-        return pipeline.load_corpus(stage_dir, {"n_skipped_urls": corpus.skipped_urls})
+        again = pipeline.load_corpus(stage_dir, {"n_skipped_urls": corpus.skipped_urls})
+    assert corpus_arrays(again) == corpus_arrays(corpus)
+    return again
 
 
 def network_over(corpus, urls):

@@ -7,13 +7,15 @@ import tempfile
 from collections import Counter
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustnet import ingest
+from trustnet import ingest, pipeline
 from trustnet.ingest import (
     DEFAULT_INCLUDE_KINDS,
     Corpus,
@@ -28,6 +30,7 @@ from trustnet.ingest import (
     load_knowledge_base,
     load_posts,
 )
+from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
 
@@ -289,7 +292,7 @@ class TestBuildCorpus:
         ]
         corpus = build_corpus(posts)
         assert len(corpus.interactions) == 4
-        assert corpus.users == {"u0", "u1"}
+        assert corpus.users == ("u0", "u1")
         assert len(corpus.articles) == 2
 
     def test_publisher_partition_of_articles(self):
@@ -430,7 +433,7 @@ class TestCorpusGroupings:
         corpus = build_corpus(posts)
         triples = corpus.interactions
         users = {u for u, _, _ in triples}
-        assert corpus.users == users
+        assert corpus.users == tuple(sorted(users))
         assert corpus.articles == {url for _, url, _ in triples}
         assert corpus.publishers == {p for _, _, p in triples}
         assert corpus.url_publisher == {url: p for _, url, p in triples}
@@ -445,6 +448,14 @@ class TestCorpusGroupings:
         corpus = build_corpus([RawPost("p1", "u1", 0.0, ("https://a.com/x",), "original")])
         with pytest.raises(dataclasses.FrozenInstanceError):
             corpus.url_publisher = {}
+        # the code arrays are read-only too, so no caller can change links under a cached index
+        index = corpus.index
+        arrays = [corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher] + [
+            array for m in (index.user_urls, index.user_publishers, index.publisher_users)
+            for array in (m.data, m.indices, m.indptr)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
 
 
 # ``_parse_post``, ``load_posts`` (without its log records) and ``build_corpus`` as
@@ -504,6 +515,12 @@ def load_posts_oracle(path):
     return posts, malformed
 
 
+class OracleCorpus(NamedTuple):
+    interactions: set[tuple[str, str, str]]
+    share_events: list[tuple[str, str, str]]  # (user, url, post_id)
+    skipped_urls: int
+
+
 def build_corpus_oracle(posts):
     interactions = set()
     share_events = []
@@ -524,22 +541,71 @@ def build_corpus_oracle(posts):
             seen.add(url)
             interactions.add((post.user_id, url, domain))
             share_events.append((post.user_id, url, post.post_id))
-    return Corpus(interactions=interactions, share_events=share_events, skipped_urls=skipped)
+    return OracleCorpus(interactions, share_events, skipped)
+
+
+def ingest_artifacts_oracle(corpus, kb):
+    """The ingest stage's three CSVs as the set-based corpus wrote them: name -> (header, rows)."""
+    return {
+        "interactions.csv": (["user_id", "url", "publisher"], sorted(corpus.interactions)),
+        "shares.csv": (["url", "n_shares"],
+                       sorted(Counter(url for _, url, _ in corpus.share_events).items())),
+        "publishers.csv": (["domain", "score", "label"],
+                           [(p, kb.score(p), kb.label(p))
+                            for p in sorted({p for _, _, p in corpus.interactions})]),
+    }
+
+
+ORACLE_KB = "domain,score\na.com,80\nb.org,\nc.net,20\n"
+
+
+def corpus_arrays(corpus):
+    """Every id tuple, int64 code array and index matrix of a corpus, as plain values."""
+    index = corpus.index
+    arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
+    matrices = (index.user_urls, index.user_publishers, index.publisher_users)
+    assert all(a.dtype == np.int64 for a in arrays + tuple(m.data for m in matrices))
+    return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
+             index.users, index.urls, index.publishers, index.user_row]
+            + [a.tolist() for a in arrays]
+            + [(m.shape, m.data.tolist(), m.indices.tolist(), m.indptr.tolist()) for m in matrices])
 
 
 def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
-    """Both ingests of one posts file agree; the current one's (posts, malformed, corpus)."""
+    """Both ingests of one posts file agree; the current one's (posts, malformed, corpus).
+
+    They agree on the posts, the corpus, the three artifacts' bytes and the
+    meta counts, and a reload of the written stage equals the fresh corpus.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "posts.jsonl"
+        tmp = Path(tmp)
+        path, kb_path = tmp / "posts.jsonl", tmp / "kb.csv"
         path.write_bytes(data)
+        kb_path.write_text(ORACLE_KB, encoding="utf-8")
         posts, malformed = load_posts(path)
         want_posts, want_malformed = load_posts_oracle(path)
-    assert [tuple(p) for p in posts] == [dataclasses.astuple(p) for p in want_posts]
-    assert malformed == want_malformed
-    corpus, want = build_corpus(posts), build_corpus_oracle(want_posts)
-    assert corpus.skipped_urls == want.skipped_urls
-    assert corpus.interactions == want.interactions
-    assert Counter(corpus.share_events) == Counter(url for _, url, _ in want.share_events)
+        assert [tuple(p) for p in posts] == [dataclasses.astuple(p) for p in want_posts]
+        assert malformed == want_malformed
+        corpus, want = build_corpus(posts), build_corpus_oracle(want_posts)
+        assert corpus.skipped_urls == want.skipped_urls
+        assert corpus.interactions == want.interactions
+        assert list(corpus.link_rows()) == sorted(want.interactions)
+        n_shares = Counter(url for _, url, _ in want.share_events)
+        assert dict(zip(corpus.urls, corpus.shares.tolist())) == n_shares
+        assert Counter(corpus.share_events) == n_shares
+        config = PipelineConfig(posts=str(path), knowledge_base=str(kb_path))
+        stage_dir = tmp / "ingest"
+        if not want.interactions:
+            with pytest.raises(ValueError, match="corpus is empty"):
+                pipeline.stage_ingest(config, {}, stage_dir, None)
+            return posts, malformed, corpus
+        (_, kb), meta = pipeline.stage_ingest(config, {}, stage_dir, None)
+        for name, (header, rows) in ingest_artifacts_oracle(want, kb).items():
+            pipeline.write_csv(tmp / "oracle" / name, header, rows)
+            assert (stage_dir / name).read_bytes() == (tmp / "oracle" / name).read_bytes()
+        assert (meta["n_interactions"], meta["n_share_events"], meta["n_skipped_urls"]) == (
+            len(want.interactions), len(want.share_events), want.skipped_urls)
+        assert corpus_arrays(pipeline.load_corpus(stage_dir, meta)) == corpus_arrays(corpus)
     return posts, malformed, corpus
 
 

@@ -825,6 +825,8 @@ def test_benchmark_tracer_counts_a_run(inputs, tmp_path, monkeypatch):
     assert tracer.count_errors == []
     json.dumps(counts)  # the benchmark writes them as JSON: numpy scalars would fail here
     assert counts["projection.pairs_tested"] == result.report["projection"]["n_tested"]
+    assert counts["ingest.share_events"] == result.report["ingest"]["n_share_events"]
+    assert counts["ingest.interactions"] == result.report["ingest"]["n_interactions"]
     # a cold run loads nothing from a cache; every other layer is seen
     assert {s.name for s in tracer.spans} == set(tracing.TIMES) - {"pipeline.load_s"}
     assert counts["bicm.users"] > 0 and counts["projection.edges"] > 0

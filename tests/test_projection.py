@@ -103,6 +103,39 @@ class TestPoissonBinomialTail:
             assert t == pytest.approx(tail_by_enumeration(expanded, k), abs=1e-12)
 
 
+def class_pmfs_oracle(q, sizes, length):
+    """The row-major class-pmf convolution the count-major kernel replaced: [r, k] is P(V_r = k)."""
+    pmf = np.zeros((q.shape[0], length))
+    pmf[:, 0] = 1.0
+    for n, qc in zip(sizes.tolist(), q.T):
+        if qc.any():
+            factor = projection._binomial_pmfs(n, qc, min(n + 1, length))
+            out = pmf * factor[:, :1]
+            for j in range(1, factor.shape[1]):
+                out[:, j:] += pmf[:, : length - j] * factor[:, j : j + 1]
+            pmf = out
+    return pmf
+
+
+class TestClassPmfs:
+    @pytest.mark.parametrize("length", [1, 2, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_equal_the_row_major_convolution(self, length, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_classes = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        q = rng.random((n_rows, n_classes)) ** rng.uniform(0.2, 8.0, n_classes)
+        q[rng.random(q.shape) < 0.2] = 0.0
+        q[rng.random(q.shape) < 0.1] = 1.0
+        q[:, rng.integers(n_classes)] = 0.0  # a class no row reaches
+        # class sizes below and above the pmf length
+        sizes = np.where(rng.random(n_classes) < 0.5, rng.integers(1, 4, n_classes),
+                         rng.integers(length, 2 * length + 40, n_classes))
+        got = projection._class_pmfs(q, sizes, length)
+        want = class_pmfs_oracle(q, sizes, length)
+        assert got.shape == (length, n_rows)
+        assert np.array_equal(got.T.view(np.int64), want.view(np.int64))
+
+
 def counts_of(graph):
     """``cooccurrences`` as a {(url_a, url_b): observed} dict, in its order."""
     url_a, url_b, observed = projection.cooccurrences(graph)

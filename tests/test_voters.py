@@ -65,7 +65,7 @@ class TestSelectVoters:
         assert select_voters(StrategyKind.DS_ALL_WO_USR_NEC, corpus, network) == {
             "carol", "dan",
         }
-        assert select_voters(StrategyKind.USERS_ALL, corpus, network) == corpus.users
+        assert select_voters(StrategyKind.USERS_ALL, corpus, network) == set(corpus.users)
 
     def test_users_all_needs_no_discussion_supporters(self, monkeypatch):
         from trustnet import voters
@@ -75,7 +75,7 @@ class TestSelectVoters:
 
         monkeypatch.setattr(voters, "discussion_supporters", refuse)
         corpus, network = fixture_corpus()
-        assert select_voters(StrategyKind.USERS_ALL, corpus, network) == corpus.users
+        assert select_voters(StrategyKind.USERS_ALL, corpus, network) == set(corpus.users)
 
     def test_complement_empty_when_everyone_supports(self):
         posts = [
@@ -94,7 +94,7 @@ class TestSelectVoters:
 
     def test_ds_is_subset_of_users(self):
         corpus, network = fixture_corpus()
-        assert discussion_supporters(corpus, network) <= corpus.users
+        assert discussion_supporters(corpus, network) <= set(corpus.users)
 
 
 class TestArticleSet:
