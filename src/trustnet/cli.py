@@ -28,15 +28,15 @@ EXIT_CODES = {
     "figures": 17,
 }
 
-# the last stage each subcommand runs; the stages it reads run first, or
-# are reused from the run directory
+# per stage subcommand, the last stage it runs and its help; the stages that
+# stage reads run first, or are reused from the run directory
 STAGE_COMMANDS = {
-    "ingest": "ingest",
-    "solve": "bicm",
-    "validate": "projection",
-    "communities": "nec",
-    "voters": "voters",
-    "classify": "classify",
+    "ingest": ("ingest", "parse posts and the knowledge base into a corpus"),
+    "solve": ("bicm", "fit the bipartite null model"),
+    "validate": ("projection", "compute co-occurrence p-values and the FDR projection"),
+    "communities": ("nec", "detect news engagement communities"),
+    "voters": ("voters", "build one voter table per strategy"),
+    "classify": ("classify", "score and classify publishers"),
 }
 
 
@@ -78,12 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in [
-        ("ingest", "parse posts and the knowledge base into a corpus"),
-        ("solve", "fit the bipartite null model"),
-        ("validate", "compute co-occurrence p-values and the FDR projection"),
-        ("communities", "detect news engagement communities"),
-        ("voters", "build one voter table per strategy"),
-        ("classify", "score and classify publishers"),
+        *((name, help_text) for name, (_, help_text) in STAGE_COMMANDS.items()),
         ("run", "run the full pipeline"),
         ("figures", "emit figure data tables for a completed run"),
     ]:
@@ -128,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "figures":
             pipeline.emit_figures(config)
         else:
-            pipeline.run_stages(config, STAGE_COMMANDS[args.command])
+            pipeline.run_stages(config, STAGE_COMMANDS[args.command][0])
     except StageError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CODES.get(err.stage, 1)

@@ -271,8 +271,10 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
 
     Returns (posts, n_malformed). Malformed lines (bytes that are not UTF-8,
-    bad JSON, missing or mistyped fields, duplicate post_id) are skipped and
-    counted: each is logged at DEBUG, their count once per file at WARNING.
+    bad JSON or JSON too long or too deep to parse, missing or mistyped
+    fields, a timestamp beyond float range, a lone surrogate in an id or URL,
+    duplicate post_id) are skipped and counted: each is logged at DEBUG,
+    their count once per file at WARNING.
     Each stripped line is decoded once; text after its JSON value makes it
     unparseable, as ``json.loads`` would. An unreadable file raises OSError.
     """
@@ -289,7 +291,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 if not line.isascii():
                     line.encode("utf-8")  # a byte that is not UTF-8 is a lone surrogate here
                 obj, end = decode(line)
-            except (UnicodeEncodeError, json.JSONDecodeError):
+            except (ValueError, RecursionError):  # UnicodeEncodeError, JSONDecodeError among them
                 end = -1
             if end != len(line):
                 malformed += 1
@@ -307,8 +309,16 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 malformed += 1
                 log.debug("%s:%d: malformed or duplicate record skipped", path, lineno)
                 continue
+            try:
+                stamp = float(timestamp)  # an int beyond float range overflows
+                if "\\u" in line:  # an escape may decode to a surrogate, which no CSV holds
+                    "".join((post_id, user_id, *urls)).encode("utf-8")
+            except (OverflowError, UnicodeEncodeError):
+                malformed += 1
+                log.debug("%s:%d: out-of-range timestamp or lone surrogate skipped", path, lineno)
+                continue
             seen_ids.add(post_id)
-            posts.append(RawPost(post_id, user_id, float(timestamp), tuple(urls), kind))
+            posts.append(RawPost(post_id, user_id, stamp, tuple(urls), kind))
     if malformed:
         log.warning("%s: skipped %d malformed records", path, malformed)
     return posts, malformed

@@ -296,14 +296,17 @@ NEC_SUMMARY_HEADER = tuple(f.name for f in fields(nec.NecRow))
 
 
 def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
+    """Value: (partition, summary rows, purity rows); purity lists communities first."""
     if cached is not None:
-        return load_partition(stage_dir, cached), cached
+        summary = [tuple(map(int, row)) for row in read_csv(stage_dir / "nec_summary.csv")]
+        purity_rows = [(c, float(t), float(n)) for c, t, n in read_csv(stage_dir / "purity.csv")]
+        return (load_partition(stage_dir, cached), summary, purity_rows), cached
     corpus, kb = upstream["ingest"]
     partition = nec.louvain(upstream["projection"], seed=config.louvain_seed)
     write_csv(stage_dir / "partition.csv", ["url", "community"],
               sorted(partition.assignment.items()))
-    write_csv(stage_dir / "nec_summary.csv", NEC_SUMMARY_HEADER,
-              [astuple(r) for r in nec.nec_summary(partition, corpus)])
+    summary = [astuple(r) for r in nec.nec_summary(partition, corpus)]
+    write_csv(stage_dir / "nec_summary.csv", NEC_SUMMARY_HEADER, summary)
     levels = (Label.T, Label.N)
     purity_rows = [(str(c), *(nec.purity(partition, c, corpus, kb, l) for l in levels))
                    for c in partition.community_ids()]
@@ -314,18 +317,13 @@ def stage_nec(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: d
         purity_rows.append(
             ("unclustered", *(nec.unclustered_purity(partition, corpus, kb, l) for l in levels)))
     write_csv(stage_dir / "purity.csv", ["community", "purity_T", "purity_N"], purity_rows)
-    return partition, {
+    return (partition, summary, purity_rows), {
         "modularity": partition.modularity,
         "pass_modularities": partition.pass_modularities,
         "n_communities": len(partition.community_ids()),
         "n_unclustered": len(partition.members(nec.UNCLUSTERED)),
         "louvain_seed": config.louvain_seed,
     }
-
-
-def load_nec_summary(stage_dir: Path) -> list[dict[str, int]]:
-    return [dict(zip(NEC_SUMMARY_HEADER, map(int, row)))
-            for row in read_csv(stage_dir / "nec_summary.csv")]
 
 
 def load_partition(stage_dir: Path, meta: dict) -> nec.Partition:
@@ -494,15 +492,13 @@ def stage_classify(config: PipelineConfig, upstream: dict, stage_dir: Path, cach
 # figures stage
 
 def stage_figures(config: PipelineConfig, upstream: dict, stage_dir: Path, cached: dict | None):
-    (corpus, kb), partition, (_, sweep) = upstream["ingest"], upstream["nec"], upstream["classify"]
+    """Copies of nec's purity rows and classify's sweep; it computes nothing."""
+    (partition, _, purity_rows), (_, sweep) = upstream["nec"], upstream["classify"]
     write_csv(
         stage_dir / "fig_nec_purity.csv",
         ["community", "n_urls", "purity_T", "purity_N"],
-        [
-            (c, len(partition.members(c)),
-             *(nec.purity(partition, c, corpus, kb, l) for l in (Label.T, Label.N)))
-            for c in partition.community_ids()
-        ],
+        [(c, len(partition.members(c)), t, n)
+         for c, (_, t, n) in zip(partition.community_ids(), purity_rows)],
     )
     write_csv(
         stage_dir / "fig_voters_vs_theta.csv",
@@ -569,7 +565,7 @@ STAGES = (
     # emit_figures refuses a run whose classify meta and sweep are not current
     Stage("classify", "1", ("ingest", "projection", "voters"),
           ("theta_max", "cv_folds", "cv_seed"), lambda c: ("sweep.csv",), always_run=True),
-    Stage("figures", "1", ("ingest", "nec", "classify"), (), lambda c: (), always_run=True),
+    Stage("figures", "1", ("nec", "classify"), (), lambda c: (), always_run=True),
 )
 
 
@@ -690,8 +686,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     inputs = _input_hashes(config)
     values, metas, hashes = run_stages(config, "figures", inputs)
     (corpus, kb), (graph, model) = values["ingest"], values["bicm"]
-    network, partition, profiles = values["projection"], values["nec"], values["voters"]
-    results, _ = values["classify"]
+    network, profiles, (results, _) = values["projection"], values["voters"], values["classify"]
+    partition, summary, _ = values["nec"]
+    bicm_meta, nec_meta = metas["bicm"], metas["nec"]
     out = Path(config.out_dir)
 
     # paths are machine-specific; the report carries content hashes instead
@@ -706,20 +703,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         },
         "stage_hashes": hashes,
         "ingest": {k: v for k, v in metas["ingest"].items() if k != "config_hash"},
-        "bicm": {
-            "iterations": model.iterations,
-            "residual": model.residual,
-            "n_users": graph.n_users,
-            "n_urls": graph.n_urls,
-            "n_links": graph.n_links,
-            "n_forced_links": len(model.forced_links),
-        },
+        "bicm": {k: bicm_meta[k] for k in ("iterations", "residual", "n_users", "n_urls", "n_links")}
+                | {"n_forced_links": len(bicm_meta["forced_links"])},
         "projection": {k: v for k, v in metas["projection"].items() if k != "config_hash"},
-        "nec": {
-            "modularity": partition.modularity,
-            "n_communities": len(partition.community_ids()),
-            "summary": load_nec_summary(out / "nec"),
-        },
+        "nec": {k: nec_meta[k] for k in ("modularity", "n_communities")}
+               | {"summary": [dict(zip(NEC_SUMMARY_HEADER, row)) for row in summary]},
         "classify": results,
     }
     write_json(out / "report.json", report)

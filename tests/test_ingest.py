@@ -146,6 +146,37 @@ class TestLoadPosts:
         assert corpus.articles == {"https://a.com/x"}
 
 
+_BAD_POST = json.dumps(_post("bad", "u0000", ["https://bad.example/x"], ts=0))
+#: lines that parse, or fail to parse, in ways no other malformed line does
+UNSTORABLE_LINES = {
+    "lone surrogate in user_id": _BAD_POST.replace("u0000", "u\\ud800"),
+    "lone surrogate in a URL path": _BAD_POST.replace("/x", "/\\udc00"),
+    "timestamp beyond float range": _BAD_POST.replace(": 0,", ": 1" + "0" * 400 + ","),
+    "int literal over the digit limit": _BAD_POST.replace(": 0,", ": 1" + "0" * 4300 + ","),
+    "nesting past the recursion limit":
+        _BAD_POST[:-1] + ', "deep": ' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+@pytest.mark.parametrize("line", UNSTORABLE_LINES.values(), ids=UNSTORABLE_LINES)
+def test_unstorable_line_is_malformed_and_the_run_completes(tmp_path, line):
+    generate_synthetic(SyntheticSpec(30, 4, 5), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text((tmp_path / "posts.jsonl").read_text() + line + "\n", encoding="ascii")
+    runs = []
+    for name in ("posts.jsonl", "bad.jsonl"):
+        config = PipelineConfig(posts=str(tmp_path / name), knowledge_base=str(tmp_path / "kb.csv"),
+                                out_dir=str(tmp_path / name.replace(".", "_")))
+        _, metas, _ = pipeline.run_stages(config, "ingest")
+        meta = {k: v for k, v in metas["ingest"].items() if k != "config_hash"}
+        files = {f: (Path(config.out_dir) / "ingest" / f).read_bytes()
+                 for f in ("interactions.csv", "shares.csv", "publishers.csv")}
+        runs.append((meta.pop("n_malformed"), meta, files))
+    (clean, *corpus), (dirty, *dirty_corpus) = runs
+    assert dirty == clean + 1
+    assert dirty_corpus == corpus
+
+
 class TestExtractDomain:
     def test_strips_www_query_and_path(self):
         assert extract_domain("https://www.example.com/a/b?x=1") == "example.com"

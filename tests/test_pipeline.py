@@ -74,7 +74,7 @@ PINS = {
     ("voters", "2"): "98efcf600c8efb0254ec1f56cfcda91d4241be73d81677daac4a805edc8bacb5",
     ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
     ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
-    "report.json": "cf872486f712ef2b5c299f70d2af06510a4147ae296dca0f9afd3ebfb638b024",
+    "report.json": "29e69a6d1ad0a7a37fc6ad24f5d9ecddb901401a92e1d82895f3226044bcf49c",
 }
 
 
@@ -265,7 +265,7 @@ class TestDeterminism:
         run_pipeline(config)
         reads = count_meta_reads(monkeypatch)
         emit_figures(config)
-        # its refusal check reads ingest, nec and classify; the runner the other reused stages
+        # its refusal check reads nec and classify; the runner the other reused stages
         assert sorted(reads) == ["bicm", "classify", "ingest", "nec", "projection", "voters"]
 
     def test_changing_alpha_invalidates_projection_only(self, inputs, tmp_path_factory):
@@ -441,6 +441,23 @@ class TestStageErrors:
         (tmp_path / "empty-run").mkdir()
         with pytest.raises(ValueError, match="missing stages"):
             emit_figures(config)
+
+    def test_emit_figures_refuses_a_stale_ingest_and_rebuilds_a_deleted_one(
+        self, inputs, tmp_path
+    ):
+        # nec's hash covers ingest's, so other posts make nec, and classify after it, stale
+        config = make_config(inputs, tmp_path / "run", theta_max=2)
+        run_pipeline(config)
+        interactions = tmp_path / "run" / "ingest" / "interactions.csv"
+        blob = interactions.read_bytes()
+        interactions.unlink()
+        emit_figures(config)
+        assert interactions.read_bytes() == blob
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text((inputs / "posts.jsonl").read_text() + "\n")
+        other = dataclasses.replace(config, posts=str(posts))
+        with pytest.raises(ValueError, match="missing stages: nec, classify"):
+            emit_figures(other)
 
 
 class TestFigureTables:
@@ -627,7 +644,7 @@ def test_stage_functions_are_looked_up_at_call_time(inputs, tmp_path, monkeypatc
 
 
 def test_nec_summary_is_computed_once_per_run(inputs, tmp_path, monkeypatch):
-    # report.json reads nec/nec_summary.csv; a rerun that reuses nec computes none
+    # a rerun that reuses nec reads its summary back from nec_summary.csv
     calls = []
     nec_summary = pipeline.nec.nec_summary
 
@@ -643,6 +660,29 @@ def test_nec_summary_is_computed_once_per_run(inputs, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert second["nec"] == first["nec"]
     assert first["nec"]["summary"]
+
+
+def test_purity_is_computed_by_the_nec_stage_only(inputs, tmp_path, monkeypatch):
+    # the figures copy nec's purity rows: a fresh run computes each community's T and N
+    # purity once, and a rerun that reuses nec computes none
+    assert pipeline.STAGES[-1].reads == ("nec", "classify")
+    calls = []
+    purity = pipeline.nec.purity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return purity(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.nec, "purity", counting)
+    config = make_config(inputs, tmp_path / "run", theta_max=2)
+    result = run_pipeline(config)
+    assert len(calls) == 2 * len(result.partition.community_ids())
+    figure = result.out_dir / "figures" / "fig_nec_purity.csv"
+    fresh = figure.read_bytes()
+    calls.clear()
+    run_pipeline(dataclasses.replace(config, cv_seed=1))
+    assert calls == []
+    assert figure.read_bytes() == fresh
 
 
 def test_validated_urls_are_not_rebuilt_per_theta(inputs, tmp_path, monkeypatch):
