@@ -82,8 +82,7 @@ class Corpus:
     * ``index``: the links as sparse matrices (``CorpusIndex``), which the stages read;
     * ``interactions``: the (user_id, url, publisher) triples; ``share_events``:
       each share event's URL, sorted; ``articles``, ``publishers``: the distinct ids;
-    * ``url_publisher``: URL -> its publisher; ``user_urls``: user -> the URLs they
-      shared; ``user_publishers``: user -> their publishers, whose count is their diet.
+    * ``url_publisher``: URL -> its publisher.
     """
 
     users: tuple[str, ...]
@@ -130,14 +129,6 @@ class Corpus:
     @cached_property
     def publishers(self) -> frozenset[str]:
         return frozenset(self.domains)
-
-    @cached_property
-    def user_urls(self) -> dict[str, frozenset[str]]:
-        return _group((user, url) for user, url, _ in self.interactions)
-
-    @cached_property
-    def user_publishers(self) -> dict[str, frozenset[str]]:
-        return _group((user, pub) for user, _, pub in self.interactions)
 
     @cached_property
     def index(self) -> "CorpusIndex":
@@ -211,13 +202,6 @@ def fold_sum(values: Iterable[float]) -> float:
     last digits, and the artifact bytes, would depend on the interpreter.
     """
     return reduce(operator.add, values, 0.0)
-
-
-def _group(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    groups: dict[str, set[str]] = {}
-    for key, value in pairs:
-        groups.setdefault(key, set()).add(value)
-    return {key: frozenset(values) for key, values in groups.items()}
 
 
 def _normalize_host(host: str) -> str:

@@ -170,7 +170,7 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
     if not edges:
         return Partition(assignment=assignment, modularity=0.0)
 
-    nodes = sorted(network.validated_urls())
+    nodes = sorted(network.validated_urls)
     index = {u: i for i, u in enumerate(nodes)}
     level = _LevelGraph(len(nodes))
     for a, b in edges:

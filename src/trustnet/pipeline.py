@@ -273,7 +273,7 @@ def stage_projection(config: PipelineConfig, upstream: dict, stage_dir: Path, ca
         "n_tested": network.n_tested,
         "n_edges": network.n_edges,
         "bh_threshold": network.bh_threshold,
-        "n_validated_urls": len(network.validated_urls()),
+        "n_validated_urls": len(network.validated_urls),
     }
 
 
@@ -410,7 +410,7 @@ def compute_sweep(
     voters cover; DS-URL-NEC needs the labeled publishers of the validated
     network, whatever θ.
     """
-    validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
+    validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls}
     nec_knowledge = sum(1 for p in validated_pubs if kb.label(p) is not Label.UNC)
     thetas = config.thetas()
     points = []

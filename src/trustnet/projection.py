@@ -20,6 +20,7 @@ to that cut: only validated edges become tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -61,7 +62,8 @@ class ValidatedNetwork:
 
     ``urls`` is the full tested universe (every URL of the bipartite graph);
     the validated node set A_val contains only URLs incident to a surviving
-    edge and is exposed as :meth:`validated_urls`.
+    edge. ``validated_urls`` is A_val and ``url_mask`` marks it over ``urls``;
+    each is built once, on first use, so ``edges`` must not change after that.
     """
 
     urls: tuple[str, ...]
@@ -71,8 +73,16 @@ class ValidatedNetwork:
     bh_threshold: float
     n_tested: int = 0
 
-    def validated_urls(self) -> set[str]:
-        return {url for a, b, _ in self.edges for url in (a, b)}
+    @cached_property
+    def validated_urls(self) -> frozenset[str]:
+        return frozenset(url for a, b, _ in self.edges for url in (a, b))
+
+    @cached_property
+    def url_mask(self) -> np.ndarray:
+        """Read-only int64 over ``urls``: 1 on each validated URL, else 0."""
+        mask = np.array([url in self.validated_urls for url in self.urls], dtype=np.int64)
+        mask.flags.writeable = False
+        return mask
 
     @property
     def n_edges(self) -> int:

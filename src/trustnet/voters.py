@@ -34,59 +34,18 @@ class VoterProfile:
     diet: int
 
 
+def _supporters(corpus: Corpus, validated: ValidatedNetwork) -> np.ndarray:
+    """The discussion supporters as a mask over ``corpus.index.users``: A·m > 0, with A
+    the user × URL matrix and m the network's ``url_mask``."""
+    if validated.urls != corpus.index.urls:
+        raise ValueError("the validated network's URLs are not the corpus's URLs in its order")
+    return corpus.index.user_urls @ validated.url_mask > 0
+
+
 def discussion_supporters(corpus: Corpus, validated: ValidatedNetwork) -> set[str]:
-    """Users who shared a URL of the validated network: rows of ``corpus.index.user_urls``
-    with a link to a validated column."""
-    index, a_val = corpus.index, validated.validated_urls()
-    in_val = np.array([url in a_val for url in index.urls], dtype=np.int64)
-    return {index.users[i] for i in np.flatnonzero(index.user_urls @ in_val).tolist()}
-
-
-def select_voters(
-    strategy: StrategyKind, corpus: Corpus, validated: ValidatedNetwork
-) -> set[str]:
-    if strategy is StrategyKind.USERS_ALL:
-        return set(corpus.users)
-    ds = discussion_supporters(corpus, validated)
-    if strategy is StrategyKind.DS_ALL_WO_USR_NEC:
-        return set(corpus.users) - ds
-    return ds
-
-
-def article_set(
-    voter: str,
-    strategy: StrategyKind,
-    corpus: Corpus,
-    validated: ValidatedNetwork,
-) -> set[str]:
-    """Articles feeding the voter's characterization under the strategy."""
-    shared = set(corpus.user_urls.get(voter, ()))
-    if strategy is StrategyKind.DS_URL_NEC:
-        return shared & validated.validated_urls()
-    return shared
-
-
-def characterize(
-    voter: str,
-    strategy: StrategyKind,
-    corpus: Corpus,
-    validated: ValidatedNetwork,
-    kb: KnowledgeBase,
-) -> float | None:
-    """Mean trust score over the voter's scored articles, or None.
-
-    Each distinct article counts once; articles from unclassified publishers
-    contribute nothing to either side of the mean.
-    """
-    articles = article_set(voter, strategy, corpus, validated)
-    return _mean_score(articles, corpus, kb)
-
-
-def _mean_score(articles: set[str], corpus: Corpus, kb: KnowledgeBase) -> float | None:
-    scores = [s for url in articles if (s := kb.score(corpus.url_publisher[url])) is not None]
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
+    """Users who shared a URL of the validated network."""
+    users = corpus.index.users
+    return {users[i] for i in np.flatnonzero(_supporters(corpus, validated)).tolist()}
 
 
 def build_voter_profiles(
@@ -105,22 +64,31 @@ def build_voter_profiles(
     With A the user × URL matrix of ``corpus.index`` and m marking the URLs
     that feed a value (the validated ones for DS-URL-NEC, else all),
     ``n_articles`` is A·m and the value (A·s)/(A·k): k marks m's scored URLs,
-    s holds their int KB scores, so the sums are exact, as in ``characterize``.
+    s holds their int KB scores, so each distinct article counts once, an
+    unclassified one on neither side, and the sums are exact.
     """
     index, a = corpus.index, corpus.index.user_urls
-    a_val = validated.validated_urls()
-    in_val = np.array([url in a_val for url in index.urls], dtype=np.int64)
+    supporter = _supporters(corpus, validated)
+    in_val = validated.url_mask
     used = in_val if strategy is StrategyKind.DS_URL_NEC else np.ones_like(in_val)
     score = np.array([kb.score(p) for p in index.publishers], dtype=float)[index.url_publisher]
     scored = used * ~np.isnan(score)
     n_articles, total, n_scored = a @ used, a @ np.where(scored, score, 0.0), a @ scored
-    supporter = a @ in_val > 0  # the discussion supporters, as ``select_voters`` picks them
     voter = {StrategyKind.USERS_ALL: np.ones_like(supporter),
              StrategyKind.DS_ALL_WO_USR_NEC: ~supporter}.get(strategy, supporter)
     rows = zip(index.users, voter.tolist(), n_articles.tolist(), total.tolist(),
                n_scored.tolist(), np.diff(index.user_publishers.indptr).tolist())
     return [VoterProfile(u, n, t / k if k else None, d)
             for u, keep, n, t, k, d in rows if keep and n]
+
+
+def characterize(voter: str, strategy: StrategyKind, corpus: Corpus,
+                 validated: ValidatedNetwork, kb: KnowledgeBase) -> float | None:
+    """The voter's DS-URL-NEC profile value under DS-URL-NEC, else their USERS-ALL one
+    (the other strategies value a voter by all they shared); None without a profile."""
+    kind = strategy if strategy is StrategyKind.DS_URL_NEC else StrategyKind.USERS_ALL
+    profiles = build_voter_profiles(kind, corpus, validated, kb)
+    return next((v.value for v in profiles if v.user_id == voter), None)
 
 
 def filter_min_publishers(

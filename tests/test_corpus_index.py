@@ -3,8 +3,9 @@
 ``profiles_oracle``, ``publisher_scores_oracle``, ``coverage_oracle`` and
 ``sweep_oracle`` copy the dict-of-frozensets implementations of voter
 profiles, publisher scores, coverage and the θ sweep that walked one voter
-list per (strategy, θ). The products on ``Corpus.index`` must reproduce them
-field by field and bit for bit.
+list per (strategy, θ); they build on the set-based voter rule kept in
+``test_voters``. The products on ``Corpus.index`` must reproduce them field
+by field and bit for bit.
 """
 
 import dataclasses
@@ -36,19 +37,18 @@ from trustnet.voters import (
     ALL_STRATEGIES,
     StrategyKind,
     VoterProfile,
-    _mean_score,
     build_voter_profiles,
     characterize,
-    select_voters,
 )
+
+from test_voters import _mean_score, article_set, select_voters, user_publishers
 
 
 def profiles_oracle(strategy, corpus, validated, kb):
-    a_val = validated.validated_urls() if strategy is StrategyKind.DS_URL_NEC else None
+    diets = user_publishers(corpus)
     profiles = []
     for user in sorted(select_voters(strategy, corpus, validated)):
-        shared = corpus.user_urls[user]
-        articles = shared & a_val if a_val is not None else shared
+        articles = article_set(user, strategy, corpus, validated)
         if not articles:
             continue
         profiles.append(
@@ -56,18 +56,19 @@ def profiles_oracle(strategy, corpus, validated, kb):
                 user_id=user,
                 n_articles=len(articles),
                 value=_mean_score(articles, corpus, kb),
-                diet=len(corpus.user_publishers[user]),
+                diet=len(diets[user]),
             )
         )
     return profiles
 
 
 def publisher_scores_oracle(voters, corpus, kb):
+    reached = user_publishers(corpus)
     votes = defaultdict(list)
     for voter in voters:
         if voter.value is None:
             continue
-        for publisher in corpus.user_publishers.get(voter.user_id, ()):
+        for publisher in reached.get(voter.user_id, ()):
             votes[publisher].append(voter.value)
     return [
         PublisherScore(
@@ -81,7 +82,8 @@ def publisher_scores_oracle(voters, corpus, kb):
 
 
 def coverage_oracle(voters, corpus, kb):
-    reached = set().union(*(corpus.user_publishers.get(v.user_id, ()) for v in voters))
+    diets = user_publishers(corpus)
+    reached = set().union(*(diets.get(v.user_id, ()) for v in voters))
     covered = {level: 0 for level in Label}
     universe = {level: 0 for level in Label}
     for publisher in corpus.publishers:
@@ -93,7 +95,7 @@ def coverage_oracle(voters, corpus, kb):
 
 
 def sweep_oracle(config, corpus, network, kb, profiles):
-    validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls()}
+    validated_pubs = {corpus.url_publisher[u] for u in network.validated_urls}
     nec_knowledge = sum(1 for p in validated_pubs if kb.label(p) is not Label.UNC)
     points = []
     for kind, profs in profiles.items():

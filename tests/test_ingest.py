@@ -33,6 +33,8 @@ from trustnet.ingest import (
 from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
+from test_voters import user_publishers, user_urls
+
 
 def _post(post_id, user, urls, kind="original", ts=1000.0):
     return {"post_id": post_id, "user_id": user, "timestamp": ts, "urls": urls, "kind": kind}
@@ -468,12 +470,19 @@ class TestCorpusGroupings:
         assert corpus.articles == {url for _, url, _ in triples}
         assert corpus.publishers == {p for _, _, p in triples}
         assert corpus.url_publisher == {url: p for _, url, p in triples}
-        assert corpus.user_urls == {
-            u: {url for v, url, _ in triples if v == u} for u in users
-        }
-        assert corpus.user_publishers == {
-            u: {p for v, _, p in triples if v == u} for u in users
-        }
+        by_user_urls = {u: {url for v, url, _ in triples if v == u} for u in users}
+        by_user_publishers = {u: {p for v, _, p in triples if v == u} for u in users}
+        index = corpus.index
+
+        def rows(matrix, ids):
+            return {user: {ids[j] for j in matrix[i].indices.tolist()}
+                    for i, user in enumerate(index.users)}
+
+        assert rows(index.user_urls, index.urls) == by_user_urls
+        assert rows(index.user_publishers, index.publishers) == by_user_publishers
+        # the set-based voter oracle groups the same way
+        assert user_urls(corpus) == by_user_urls
+        assert user_publishers(corpus) == by_user_publishers
 
     def test_corpus_is_frozen(self):
         corpus = build_corpus([RawPost("p1", "u1", 0.0, ("https://a.com/x",), "original")])

@@ -88,7 +88,7 @@ class TestLouvain:
     def test_final_beats_singleton_partition(self):
         net, _, _ = two_k5s()
         part = nec.louvain(net, seed=3)
-        singleton = {u: i for i, u in enumerate(sorted(net.validated_urls()))}
+        singleton = {u: i for i, u in enumerate(sorted(net.validated_urls))}
         assert part.modularity >= nec.modularity(net, singleton)
 
     def test_edge_permutation_invariance(self):
@@ -133,7 +133,7 @@ class TestRelabel:
 class TestModularity:
     def test_single_community_connected_graph_is_zero(self):
         net = make_network(clique([f"n{i}" for i in range(4)]))
-        assignment = {u: 0 for u in net.validated_urls()}
+        assignment = {u: 0 for u in net.validated_urls}
         assert nec.modularity(net, assignment) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_equal_cliques_half(self):

@@ -519,8 +519,10 @@ class TestFigureTables:
     def test_knowledge_counts_labeled_publishers_of_surviving_voters(self, run):
         from trustnet.ingest import Label
         from trustnet.voters import StrategyKind, filter_min_publishers
+        from test_voters import user_publishers
 
         result, config = run
+        diets = user_publishers(result.corpus)
         checked = 0
         for point in result.report["classify"]["sweep"]:
             if point["strategy"] == StrategyKind.DS_URL_NEC.value:
@@ -529,7 +531,7 @@ class TestFigureTables:
                 result.profiles[StrategyKind(point["strategy"])], point["theta"]
             )
             # these strategies characterize a voter by everything they shared
-            pubs = set().union(*(result.corpus.user_publishers[v.user_id] for v in surviving))
+            pubs = set().union(*(diets[v.user_id] for v in surviving))
             assert point["knowledge"] == sum(
                 1 for p in pubs if result.kb.label(p) is not Label.UNC
             )
@@ -686,22 +688,27 @@ def test_purity_is_computed_by_the_nec_stage_only(inputs, tmp_path, monkeypatch)
 
 
 def test_validated_urls_are_not_rebuilt_per_theta(inputs, tmp_path, monkeypatch):
+    # the network's validated URL set and its URL mask are each built once per
+    # run, whatever θ: fresh, and on a rerun that loads the network from disk
     from trustnet import projection
 
-    calls = []
-    validated_urls = projection.ValidatedNetwork.validated_urls
+    built = {"validated_urls": [], "url_mask": []}
+    for name, networks in built.items():
+        prop = vars(projection.ValidatedNetwork)[name]
 
-    def counting(self):
-        calls.append(1)
-        return validated_urls(self)
+        def counting(self, build=prop.func, networks=networks):
+            networks.append(self)
+            return build(self)
 
-    monkeypatch.setattr(projection.ValidatedNetwork, "validated_urls", counting)
-    counts = []
+        monkeypatch.setattr(prop, "func", counting)
     for theta_max in (2, 6):
-        calls.clear()
-        run_pipeline(make_config(inputs, tmp_path / f"run{theta_max}", theta_max=theta_max))
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        config = make_config(inputs, tmp_path / f"run{theta_max}", theta_max=theta_max)
+        for cv_seed in (0, 1):
+            for networks in built.values():
+                networks.clear()
+            result = run_pipeline(dataclasses.replace(config, cv_seed=cv_seed))
+            for networks in built.values():
+                assert [n is result.network for n in networks] == [True]
 
 
 def per_theta_tables_oracle(config, profiles) -> dict[tuple[str, int], bytes]:

@@ -487,4 +487,4 @@ class TestBhValidation:
         empty = np.empty(0, dtype=np.int64)
         net = projection.bh_validate(projection.PairTests(empty, empty, empty, np.empty(0)), 0.05, 1, g)
         assert net.edges == []
-        assert net.validated_urls() == set()
+        assert net.validated_urls == set()

@@ -1,16 +1,64 @@
+import dataclasses
+
 import pytest
 
-from trustnet.ingest import KnowledgeBase, RawPost, build_corpus
+from trustnet import bicm, projection
+from trustnet.ingest import KnowledgeBase, RawPost, build_corpus, load_knowledge_base, load_posts
 from trustnet.projection import ValidatedNetwork
+from trustnet.synth import SyntheticSpec, generate_synthetic
 from trustnet.voters import (
+    ALL_STRATEGIES,
     StrategyKind,
-    article_set,
     build_voter_profiles,
     characterize,
     discussion_supporters,
     filter_min_publishers,
-    select_voters,
 )
+
+
+# The set-based voter rule the sparse one replaced, kept as its oracle:
+# groupings of ``corpus.interactions``, voter sets and per-voter article sets.
+
+def _group(pairs):
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, set()).add(value)
+    return {key: frozenset(values) for key, values in groups.items()}
+
+
+def user_urls(corpus):
+    """user -> the URLs they shared."""
+    return _group((user, url) for user, url, _ in corpus.interactions)
+
+
+def user_publishers(corpus):
+    """user -> the publishers they shared, whose count is their diet."""
+    return _group((user, pub) for user, _, pub in corpus.interactions)
+
+
+def select_voters(strategy, corpus, validated):
+    if strategy is StrategyKind.USERS_ALL:
+        return set(corpus.users)
+    ds = {user for user, urls in user_urls(corpus).items() if urls & validated.validated_urls}
+    if strategy is StrategyKind.DS_ALL_WO_USR_NEC:
+        return set(corpus.users) - ds
+    return ds
+
+
+def article_set(voter, strategy, corpus, validated):
+    """Articles feeding the voter's characterization under the strategy."""
+    shared = set(user_urls(corpus).get(voter, ()))
+    if strategy is StrategyKind.DS_URL_NEC:
+        return shared & validated.validated_urls
+    return shared
+
+
+def _mean_score(articles, corpus, kb):
+    scores = [s for url in articles if (s := kb.score(corpus.url_publisher[url])) is not None]
+    if not scores:
+        return None
+    return sum(scores) / len(scores)
+
 
 VAL_A = "https://x.com/val-a"
 VAL_B = "https://x.com/val-b"
@@ -55,6 +103,22 @@ class TestDiscussionSupporters:
         corpus, _ = fixture_corpus()
         assert discussion_supporters(corpus, empty_network(corpus)) == set()
 
+    @pytest.mark.parametrize("other", [
+        lambda urls: urls[::-1],
+        lambda urls: urls[1:],
+        lambda urls: urls + ("https://w.com/extra",),
+    ], ids=["reversed", "one-missing", "one-extra"])
+    def test_network_over_other_urls_is_refused(self, other):
+        # the URL mask is read against the corpus's URL columns, so any other
+        # URL tuple, even the same URLs in another order, would misalign it
+        corpus, network = fixture_corpus()
+        elsewhere = dataclasses.replace(network, urls=other(network.urls))
+        with pytest.raises(ValueError, match="URLs"):
+            discussion_supporters(corpus, elsewhere)
+        for kind in ALL_STRATEGIES:
+            with pytest.raises(ValueError, match="URLs"):
+                build_voter_profiles(kind, corpus, elsewhere, KnowledgeBase())
+
 
 class TestSelectVoters:
     def test_strategies_pick_expected_sets(self):
@@ -66,16 +130,18 @@ class TestSelectVoters:
             "carol", "dan",
         }
         assert select_voters(StrategyKind.USERS_ALL, corpus, network) == set(corpus.users)
+        for kind in ALL_STRATEGIES:
+            profiles = build_voter_profiles(kind, corpus, network, KnowledgeBase())
+            assert {v.user_id for v in profiles} == select_voters(kind, corpus, network)
 
-    def test_users_all_needs_no_discussion_supporters(self, monkeypatch):
-        from trustnet import voters
-
-        def refuse(*args):
-            raise AssertionError("USERS-ALL built the discussion supporters")
-
-        monkeypatch.setattr(voters, "discussion_supporters", refuse)
+    def test_users_all_needs_no_discussion_supporters(self):
         corpus, network = fixture_corpus()
         assert select_voters(StrategyKind.USERS_ALL, corpus, network) == set(corpus.users)
+        kb = KnowledgeBase(scores={"x.com": 80, "z.com": 30})
+        profiles = [build_voter_profiles(StrategyKind.USERS_ALL, corpus, net, kb)
+                    for net in (network, empty_network(corpus))]
+        assert profiles[0] == profiles[1]
+        assert [v.user_id for v in profiles[0]] == list(corpus.users)
 
     def test_complement_empty_when_everyone_supports(self):
         posts = [
@@ -91,6 +157,8 @@ class TestSelectVoters:
             bh_threshold=1e-4,
         )
         assert select_voters(StrategyKind.DS_ALL_WO_USR_NEC, corpus, network) == set()
+        assert build_voter_profiles(
+            StrategyKind.DS_ALL_WO_USR_NEC, corpus, network, KnowledgeBase()) == []
 
     def test_ds_is_subset_of_users(self):
         corpus, network = fixture_corpus()
@@ -155,14 +223,59 @@ class TestCharacterize:
             )
             assert value == 45.0
 
+    @pytest.mark.parametrize("world", ["fixture", "fixture-empty", "synth-60-4-5", "synth-200-10-8"])
+    def test_view_equals_the_set_based_oracle(self, world, tmp_path):
+        corpus, network, kb = WORLDS[world](tmp_path)
+        assert discussion_supporters(corpus, network) == select_voters(
+            StrategyKind.DS_ALL, corpus, network)
+        for kind in ALL_STRATEGIES:
+            for user in corpus.users + ("absent",):
+                articles = article_set(user, kind, corpus, network)
+                want = _mean_score(articles, corpus, kb)
+                got = characterize(user, kind, corpus, network, kb)
+                assert bits(got) == bits(want), (kind, user)
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+def synth_world(spec):
+    def world(tmp_path):
+        generate_synthetic(spec, tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+        corpus = build_corpus(load_posts(tmp_path / "posts.jsonl")[0])
+        graph = bicm.build_graph(corpus)
+        network = projection.validate_projection(graph, bicm.solve(graph))
+        return corpus, network, load_knowledge_base(tmp_path / "kb.csv")
+    return world
+
+
+def fixture_world(network_of):
+    def world(_):
+        corpus, network = fixture_corpus()
+        # z.com stays unclassified
+        return corpus, network_of(corpus, network), KnowledgeBase(scores={"x.com": 80, "y.com": 45})
+    return world
+
+
+WORLDS = {
+    "fixture": fixture_world(lambda corpus, network: network),
+    "fixture-empty": fixture_world(lambda corpus, network: empty_network(corpus)),
+    # 0 and 11 validated edges
+    "synth-60-4-5": synth_world(SyntheticSpec(60, 4, 5, seed=1)),
+    "synth-200-10-8": synth_world(SyntheticSpec(200, 10, 8, seed=7)),
+}
+
 
 class TestInformationDiet:
     def test_counts_distinct_publishers(self):
-        corpus, _ = fixture_corpus()
-        diets = {user: len(pubs) for user, pubs in corpus.user_publishers.items()}
+        corpus, network = fixture_corpus()
+        diets = {user: len(pubs) for user, pubs in user_publishers(corpus).items()}
         assert diets["alice"] == 2  # x.com and y.com
         assert diets["carol"] == 2  # y.com and z.com
         assert diets["dan"] == 1
+        profiles = build_voter_profiles(StrategyKind.USERS_ALL, corpus, network, KnowledgeBase())
+        assert {v.user_id: v.diet for v in profiles} == diets
 
     def test_filter_theta_zero_is_identity(self):
         corpus, network = fixture_corpus()
