@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -239,6 +240,14 @@ def _split_key(url: str) -> str:
     return url.partition("#")[0].partition("?")[0]
 
 
+def _host_prefix(key: str) -> tuple[str, str]:
+    """(host prefix, path) of a key: its ``_url_parts`` are the prefix's, ``path`` appended."""
+    cut = key.find("/", key.find(":") + 3)  # urlsplit's host ends here, past "//" after the ":"
+    if cut < 0 or key[0] <= " " or not key.isprintable():  # urlsplit strips or edits these first
+        return key, ""
+    return key[:cut], key[cut:]
+
+
 def extract_domain(url: str) -> str | None:
     """Publisher domain of an absolute URL, or None if the URL has no host."""
     parts = _url_parts(url)
@@ -257,8 +266,9 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
     Returns (posts, n_malformed). Malformed lines (bytes that are not UTF-8,
     bad JSON or JSON too long or too deep to parse, missing or mistyped
     fields, a timestamp beyond float range, a lone surrogate in an id or URL,
-    duplicate post_id) are skipped and counted: each is logged at DEBUG,
-    their count once per file at WARNING.
+    a carriage return in a user_id, duplicate post_id) are skipped and
+    counted: each is logged at DEBUG, their count once per file at WARNING.
+    Equal user ids, raw URLs and kinds share one string object.
     Each stripped line is decoded once; text after its JSON value makes it
     unparseable, as ``json.loads`` would. An unreadable file raises OSError.
     """
@@ -286,6 +296,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
             post_id, user_id, timestamp, urls, kind = map(obj.get, RawPost._fields)
             if (not isinstance(post_id, str) or not post_id
                     or not isinstance(user_id, str) or not user_id
+                    or "\r" in user_id  # csv.writer leaves it unquoted; a reload splits there
                     or not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool)
                     or not isinstance(urls, list) or not all(isinstance(u, str) for u in urls)
                     or kind not in POST_KINDS
@@ -302,7 +313,8 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 log.debug("%s:%d: out-of-range timestamp or lone surrogate skipped", path, lineno)
                 continue
             seen_ids.add(post_id)
-            posts.append(RawPost(post_id, user_id, stamp, tuple(urls), kind))
+            posts.append(RawPost(post_id, sys.intern(user_id), stamp, tuple(map(sys.intern, urls)),
+                                 POST_KINDS[POST_KINDS.index(kind)]))  # one string per value
     if malformed:
         log.warning("%s: skipped %d malformed records", path, malformed)
     return posts, malformed
@@ -315,15 +327,21 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     multiplicity, one event per post and canonical URL. Only posts of a kind
     in ``DEFAULT_INCLUDE_KINDS`` contribute.
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
-    Raw URLs that differ only in query or fragment share one split (``_split_key``).
+    Each raw URL is cut once (``_split_key``, ``_host_prefix``) and each host prefix split once.
     Each share event adds its user and URL to two lists that ``Corpus.from_links`` ranks once.
     """
     users: list[str] = []  # per share event
     urls: list[str] = []
-    domain: dict[str, str] = {}
+    domain: dict[str, str] = {}  # canonical URL -> publisher
     skipped = 0
-    split = cache(_url_parts)
-    url_parts = cache(lambda raw: split(_split_key(raw)))  # one cut per distinct raw URL
+    split = cache(_url_parts)  # one split per host prefix
+
+    @cache
+    def url_parts(raw: str) -> tuple[str, str] | None:  # one cut per distinct raw URL
+        prefix, path = _host_prefix(_split_key(raw))
+        parts = split(prefix)
+        return parts and (sys.intern(parts[0] + path), parts[1])  # one string per article
+
     for post in posts:
         if post.kind not in DEFAULT_INCLUDE_KINDS:
             continue
@@ -332,14 +350,12 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
             parts = url_parts(raw_url)
             if parts is None:
                 skipped += 1
-                continue
-            url, host = parts
-            if url in seen:
-                continue
-            seen.add(url)
-            users.append(post.user_id)
-            urls.append(url)
-            domain[url] = host
+            elif parts[0] not in seen:
+                url, host = parts
+                seen.add(url)
+                users.append(post.user_id)
+                urls.append(url)
+                domain[url] = host
     return Corpus.from_links(users, urls, domain, Counter(urls), skipped)
 
 

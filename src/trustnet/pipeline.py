@@ -551,7 +551,7 @@ class Stage:
 
 #: the method's chain in run order; a stage reads only stages listed before it
 STAGES = (
-    Stage("ingest", "5", (), (),
+    Stage("ingest", "6", (), (),
           lambda c: ("interactions.csv", "shares.csv", "publishers.csv")),
     Stage("bicm", "1", ("ingest",), ("solver_tol", "solver_max_iter"),
           lambda c: ("fitness.csv",)),

@@ -155,7 +155,7 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     guess = np.maximum(kmax, q @ sizes + 9.0 * np.sqrt((q * (1.0 - q)) @ sizes)) + 40
     need = np.minimum(support + 1, np.ceil(guess).astype(np.int64))
     tails = np.zeros(ks.size)
-    pending = np.unique(rows)
+    pending = np.flatnonzero(np.bincount(rows, minlength=q.shape[0]))  # np.unique(rows), in O(rows)
     while pending.size:
         bits = np.ceil(np.log2(need[pending])).astype(np.int64)
         batch, length = pending[bits == bits.min()], 1 << int(bits.min())
@@ -167,8 +167,10 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
             r = last / pmf[max(length - 2, 0)]
             done = (length > support[batch]) | (last == 0.0) | (
                 (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
-        hit = np.isin(rows, batch[done])
-        tails[hit] = above[np.minimum(ks[hit], length), np.searchsorted(batch, rows[hit])]
+        col = np.full(q.shape[0], -1)
+        col[batch[done]] = np.flatnonzero(done)  # each row finished here: its column in ``above``
+        hit = col[rows] >= 0
+        tails[hit] = above[np.minimum(ks[hit], length), col[rows[hit]]]
         need[batch] = np.minimum(support[batch] + 1, 2 * length)
         pending = np.setdiff1d(pending, batch[done])
     return np.where(ks == 0, 1.0, np.minimum(tails, 1.0))
@@ -235,6 +237,17 @@ def pair_pvalue(model: BicmModel, pair: tuple[int, int], observed: int) -> PairT
     return PairTest(url_a=a, url_b=b, observed=observed, pvalue=poisson_binomial_tail(q, observed))
 
 
+def _class_pairs(url_cls: np.ndarray, url_a: np.ndarray, url_b: np.ndarray, n_cls: int):
+    """``np.unique(key, return_inverse=True)`` of class-pair keys min * n_cls + max, by search."""
+    ca, cb = url_cls[url_a], url_cls[url_b]
+    key = np.minimum(ca, cb)
+    key *= n_cls
+    key += np.maximum(ca, cb, out=ca)
+    del ca, cb  # two pair arrays fewer while np.unique copies and sorts the keys
+    keys = np.unique(key, return_counts=True)[0]  # counts take the sort path, not the slower hash
+    return keys, np.searchsorted(keys, key)
+
+
 def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> PairTests:
     """Tests for every co-occurring URL pair; one pmf serves each URL-class pair.
 
@@ -242,9 +255,8 @@ def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> PairTests:
     """
     url_a, url_b, observed = cooccurrences(graph)
     p, sizes, url_cls = _class_probabilities(model)
-    ca, cb = url_cls[url_a], url_cls[url_b]
     n_cls = p.shape[1]
-    keys, rows = np.unique(np.minimum(ca, cb) * n_cls + np.maximum(ca, cb), return_inverse=True)
+    keys, rows = _class_pairs(url_cls, url_a, url_b, n_cls)
     tails = class_tails((p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, observed)
     return PairTests(url_a, url_b, observed, tails)
 

@@ -137,6 +137,17 @@ class TestLoadPosts:
             (logging.WARNING, f"{p}: skipped 1 malformed records"),
         ]
 
+    def test_equal_values_share_one_string(self, tmp_path):
+        p = tmp_path / "posts.jsonl"
+        write_posts(p, [_post(f"p{i}", f"u{i % 3}", [f"https://a.com/{i % 4}", "https://b.org/y"],
+                              kind=POST_KINDS[i % 4]) for i in range(24)])
+        posts, _ = load_posts(p)
+        values = [v for post in posts for v in (post.user_id, *post.urls, post.kind)]
+        first = {}
+        assert all(first.setdefault(v, v) is v for v in values)
+        assert len(first) == 3 + 5 + 4
+        assert all(post.kind is POST_KINDS[POST_KINDS.index(post.kind)] for post in posts)
+
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post("p0", "u1", ["https://a.com/x", "notaurl"]),
@@ -153,6 +164,8 @@ _BAD_POST = json.dumps(_post("bad", "u0000", ["https://bad.example/x"], ts=0))
 UNSTORABLE_LINES = {
     "lone surrogate in user_id": _BAD_POST.replace("u0000", "u\\ud800"),
     "lone surrogate in a URL path": _BAD_POST.replace("/x", "/\\udc00"),
+    "carriage return in user_id": _BAD_POST.replace("u0000", "u\\rx"),
+    "escaped carriage return in user_id": _BAD_POST.replace("u0000", "u\\u000dx"),
     "timestamp beyond float range": _BAD_POST.replace(": 0,", ": 1" + "0" * 400 + ","),
     "int literal over the digit limit": _BAD_POST.replace(": 0,", ": 1" + "0" * 4300 + ","),
     "nesting past the recursion limit":
@@ -177,6 +190,21 @@ def test_unstorable_line_is_malformed_and_the_run_completes(tmp_path, line):
     (clean, *corpus), (dirty, *dirty_corpus) = runs
     assert dirty == clean + 1
     assert dirty_corpus == corpus
+
+
+def test_a_carriage_return_user_id_leaves_a_reloadable_run(tmp_path):
+    # csv.writer leaves a bare \r unquoted, so a stored "u\rx" would split its row on reload
+    generate_synthetic(SyntheticSpec(30, 4, 5), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+    with open(tmp_path / "posts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(_post("cr", "u\rx", ["https://a.com/x"])) + "\n")
+    config = PipelineConfig(posts=str(tmp_path / "posts.jsonl"),
+                            knowledge_base=str(tmp_path / "kb.csv"), out_dir=str(tmp_path / "run"))
+    fresh = pipeline.run_pipeline(config)
+    rerun = pipeline.run_pipeline(dataclasses.replace(config, cv_seed=1))
+    assert rerun.corpus.users == fresh.corpus.users
+    assert all("\r" not in u for u in fresh.corpus.users)
+    meta = json.loads((tmp_path / "run" / "ingest" / "meta.json").read_text())
+    assert meta["n_malformed"] == 1
 
 
 class TestExtractDomain:
@@ -251,6 +279,14 @@ _free_url = st.builds(
 )
 
 
+def assert_host_prefix_split(key):
+    """The key's URL parts are its host prefix's, with the rest of the key appended."""
+    prefix, path = ingest._host_prefix(key)
+    assert prefix + path == key
+    parts = ingest._url_parts(prefix)
+    assert (parts and (parts[0] + path, parts[1])) == ingest._url_parts(key)
+
+
 class TestUrlPartsOracle:
     @given(_url)
     @settings(max_examples=400, deadline=None)
@@ -271,13 +307,27 @@ class TestUrlPartsOracle:
     def test_query_and_fragment_reach_no_part(self, raw):
         assert ingest._url_parts(raw) == ingest._url_parts(ingest._split_key(raw))
 
+    @given(st.one_of(_url, _free_url))
+    @settings(max_examples=500, deadline=None)
+    def test_host_prefix_split_equals_the_whole_split(self, raw):
+        assert_host_prefix_split(ingest._split_key(raw))
+
+    @pytest.mark.parametrize("key", [
+        " http://a.com/x", "\x00http://a.com/x", "\x1fhttp://a.com/x", "http://a.com/x\ry",
+        "http://a\t.com/x", "ht\ntp://a.com/x", "http:/a.com/b", "http:a.com/b", "a:b://c/d",
+        "//a/b:c/d", "http://[::1]:80/x", "http://a]/x", "http://a.com", "http://a.com/",
+        "https://user:pw@WWW.Example.com.:443/a", "http://\u00e9.com/x", "1http://a.com/x",
+    ])
+    def test_host_prefix_split_of_edge_keys(self, key):
+        assert_host_prefix_split(key)
+
     def test_each_raw_url_is_split_once_per_pass(self, tmp_path, monkeypatch):
-        # 7 raw spellings, 3 once their query and fragment are cut off
+        # 8 raw spellings, 4 once their query and fragment are cut off, on 3 host prefixes
         raw = ["https://www.a.com/x?q=1", "http://B.org:443/y#f", "notaurl",
                "https://www.a.com/x?q=2#g", "https://www.a.com/x#h", "http://B.org:443/y",
-               "notaurl?x"]
+               "notaurl?x", "https://www.a.com/z/w"]
         write_posts(tmp_path / "posts.jsonl", [
-            _post(f"p{i}", f"u{i % 7}", [raw[i % 7], raw[(i + 1) % 7]]) for i in range(50)
+            _post(f"p{i}", f"u{i % 7}", [raw[i % 8], raw[(i + 1) % 8]]) for i in range(50)
         ])
         calls = []
 
@@ -288,9 +338,9 @@ class TestUrlPartsOracle:
         monkeypatch.setattr(ingest, "urlsplit", counting)
         posts, _ = load_posts(tmp_path / "posts.jsonl")
         corpus = build_corpus(posts)
-        # split only by build_corpus, once per raw URL without its query and fragment
-        assert sorted(calls) == ["http://B.org:443/y", "https://www.a.com/x", "notaurl"]
-        assert corpus.articles == {"https://a.com/x", "http://b.org/y"}
+        # split only by build_corpus, once per host prefix: the scheme and host before the path
+        assert sorted(calls) == ["http://B.org:443", "https://www.a.com", "notaurl"]
+        assert corpus.articles == {"https://a.com/x", "https://a.com/z/w", "http://b.org/y"}
 
 
 class TestBuildCorpus:

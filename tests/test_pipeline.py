@@ -66,7 +66,7 @@ STAGE_FILES = {
 #: SHA-256 of each stage directory of the ``run`` fixture, keyed by (stage, tag),
 #: and of its report.json. A stage whose bytes change gets a new tag.
 PINS = {
-    ("ingest", "5"): "fb6592da6089eb86683eac84159da911bfca253261ccb5d70af700857f9fe6ab",
+    ("ingest", "6"): "fb6592da6089eb86683eac84159da911bfca253261ccb5d70af700857f9fe6ab",
     ("bicm", "1"): "0fee5f3649935debd1e54435a6c67a2e70bced57e03070b0b0f8973a10d122da",
     ("projection", "degree-class-2"):
         "89369fb5f1a3ac8293429c3bb29d5ee9b4cc679e040c3b1cbf16ab26dc1d15b2",
@@ -74,7 +74,7 @@ PINS = {
     ("voters", "2"): "98efcf600c8efb0254ec1f56cfcda91d4241be73d81677daac4a805edc8bacb5",
     ("classify", "1"): "f8e1e069aef78c4c29a4c944ca60d060cc0150750c5ede924863632d983d3de9",
     ("figures", "1"): "5aa7f0e33c6ca0fdc454bc137ad8de0879f9f72cf4e9f66f5d82c41a7fa66da5",
-    "report.json": "29e69a6d1ad0a7a37fc6ad24f5d9ecddb901401a92e1d82895f3226044bcf49c",
+    "report.json": "0577d2b32e35f745eebfe38dbc902aef0a02cd72f4392ada5f5aef1347a25270",
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,41 @@ def counts_of(graph):
     """``cooccurrences`` as a {(url_a, url_b): observed} dict, in its order."""
     url_a, url_b, observed = projection.cooccurrences(graph)
     return dict(zip(zip(url_a.tolist(), url_b.tolist()), observed.tolist()))
+
+
+class TestClassPairs:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_and_rows_equal_unique_with_inverse(self, data):
+        n_cls = data.draw(st.integers(1, 9))
+        url_cls = np.array(data.draw(st.lists(st.integers(0, n_cls - 1), min_size=1, max_size=20)),
+                           dtype=np.int64)
+        url = st.integers(0, url_cls.size - 1)
+        pairs = data.draw(st.lists(st.tuples(url, url), max_size=60))
+        url_a, url_b = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+        before = url_cls.copy()
+        ca, cb = url_cls[url_a], url_cls[url_b]
+        want = np.unique(np.minimum(ca, cb) * n_cls + np.maximum(ca, cb), return_inverse=True)
+        got = projection._class_pairs(url_cls, url_a, url_b, n_cls)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(url_cls, before)
+
+    def test_pair_pvalues_peak_stays_within_ten_pair_arrays(self, tmp_path):
+        # planted scale M: an argsort and inverse over the class-pair keys took it past 11
+        generate_synthetic(SyntheticSpec(500, 20, 15), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+        graph = bicm.build_graph(build_corpus(load_posts(tmp_path / "posts.jsonl")[0]))
+        model = bicm.solve(graph)
+        n_pairs = len(projection.cooccurrences(graph)[0])
+        tracemalloc.start()
+        try:
+            tests = projection.pair_pvalues(graph, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tests) == n_pairs > 80_000
+        assert peak <= 10 * n_pairs * np.dtype(np.int64).itemsize
 
 
 class TestCooccurrences:
