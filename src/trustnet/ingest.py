@@ -14,10 +14,12 @@ import json
 import logging
 import operator
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, reduce
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -48,6 +50,43 @@ class RawPost(NamedTuple):
     timestamp: float
     urls: tuple[str, ...]
     kind: str
+
+
+class PostTable(Sequence[RawPost]):
+    """Posts as columns; indexing and iteration build each ``RawPost`` on demand.
+
+    Post i's raw URLs are ``urls[offsets[i]:offsets[i + 1]]`` and its kind
+    ``POST_KINDS[kinds[i]]``. Equal user ids and raw URLs share one string.
+    """
+
+    def __init__(self, posts: Iterable[RawPost] = ()):
+        self.post_ids, self.user_ids, self.urls = [], [], []
+        self.offsets, self.timestamps, self.kinds = array("q", [0]), array("d"), bytearray()
+        self += posts
+
+    def append(self, post_id: str, user_id: str, timestamp: float, urls: Iterable[str], kind: str):
+        """Add one post; one that fails (a kind outside ``POST_KINDS``, say) adds nothing."""
+        code, user_id, urls = POST_KINDS.index(kind), sys.intern(user_id), [*map(sys.intern, urls)]
+        self.timestamps.append(timestamp)  # the last call that can fail
+        self.post_ids.append(post_id)
+        self.user_ids.append(user_id)
+        self.urls += urls
+        self.offsets.append(len(self.urls))
+        self.kinds.append(code)
+
+    def __iadd__(self, posts: Iterable[RawPost]) -> "PostTable":
+        for post in posts:
+            self.append(*post)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.post_ids)
+
+    def __getitem__(self, i: int) -> RawPost:
+        i = range(len(self))[i]  # negative indices and IndexError as on a list
+        urls = tuple(self.urls[self.offsets[i]:self.offsets[i + 1]])
+        return RawPost(self.post_ids[i], self.user_ids[i], self.timestamps[i], urls,
+                       POST_KINDS[self.kinds[i]])
 
 
 class KnowledgeBaseError(ValueError):
@@ -135,7 +174,7 @@ class Corpus:
     def index(self) -> "CorpusIndex":
         publishers, codes = _ranks(self.domains)
         n = len(publishers)
-        pairs = np.unique(self.link_user * n + codes[self.link_url])
+        pairs = unique(self.link_user * n + codes[self.link_url])
         a = _csr(self.link_user, self.link_url, (len(self.users), len(self.urls)))
         b = _csr(pairs // n, pairs % n, (len(self.users), len(publishers)))
         bt = b.T.tocsr()
@@ -186,7 +225,7 @@ def _links(rows: Sequence[str], cols: Sequence[str]):
     row_ids, i = _ranks(rows)
     col_ids, j = _ranks(cols)
     n = len(col_ids)
-    pairs = np.unique(i * n + j)
+    pairs = unique(i * n + j)
     return row_ids, col_ids, pairs // n, pairs % n
 
 
@@ -194,6 +233,11 @@ def incidence(rows: Sequence[str], cols: Sequence[str]) -> tuple[tuple, tuple, s
     """Sorted row ids, sorted column ids and the binary int64 CSR of the distinct pairs."""
     row_ids, col_ids, i, j = _links(rows, cols)
     return row_ids, col_ids, _csr(i, j, (len(row_ids), len(col_ids)))
+
+
+def unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by sorting: numpy 2.4 sends a bare ``np.unique`` down a slower hash."""
+    return np.unique(keys, return_counts=True)[0]
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -260,19 +304,18 @@ def canonical_url(url: str) -> str | None:
     return parts[0] if parts else None
 
 
-def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
+def load_posts(path: str | Path) -> tuple[PostTable, int]:
     """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
 
-    Returns (posts, n_malformed). Malformed lines (bytes that are not UTF-8,
+    Returns (``PostTable``, n_malformed). Malformed lines (bytes that are not UTF-8,
     bad JSON or JSON too long or too deep to parse, missing or mistyped
     fields, a timestamp beyond float range, a lone surrogate in an id or URL,
     a carriage return in a user_id, duplicate post_id) are skipped and
     counted: each is logged at DEBUG, their count once per file at WARNING.
-    Equal user ids, raw URLs and kinds share one string object.
     Each stripped line is decoded once; text after its JSON value makes it
     unparseable, as ``json.loads`` would. An unreadable file raises OSError.
     """
-    posts: list[RawPost] = []
+    posts = PostTable()
     seen_ids: set[str] = set()
     malformed = 0
     decode = json.JSONDecoder().raw_decode
@@ -313,8 +356,7 @@ def load_posts(path: str | Path) -> tuple[list[RawPost], int]:
                 log.debug("%s:%d: out-of-range timestamp or lone surrogate skipped", path, lineno)
                 continue
             seen_ids.add(post_id)
-            posts.append(RawPost(post_id, sys.intern(user_id), stamp, tuple(map(sys.intern, urls)),
-                                 POST_KINDS[POST_KINDS.index(kind)]))  # one string per value
+            posts.append(post_id, user_id, stamp, urls, kind)
     if malformed:
         log.warning("%s: skipped %d malformed records", path, malformed)
     return posts, malformed
@@ -329,7 +371,9 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
     Each raw URL is cut once (``_split_key``, ``_host_prefix``) and each host prefix split once.
     Each share event adds its user and URL to two lists that ``Corpus.from_links`` ranks once.
+    The loop walks a ``PostTable``'s columns; other posts are packed into one first.
     """
+    table = posts if isinstance(posts, PostTable) else PostTable(posts)
     users: list[str] = []  # per share event
     urls: list[str] = []
     domain: dict[str, str] = {}  # canonical URL -> publisher
@@ -342,18 +386,19 @@ def build_corpus(posts: Iterable[RawPost]) -> Corpus:
         parts = split(prefix)
         return parts and (sys.intern(parts[0] + path), parts[1])  # one string per article
 
-    for post in posts:
-        if post.kind not in DEFAULT_INCLUDE_KINDS:
+    ends = islice(table.offsets, 1, None)
+    for user, start, end, kind in zip(table.user_ids, table.offsets, ends, table.kinds):
+        if POST_KINDS[kind] not in DEFAULT_INCLUDE_KINDS:
             continue
         seen: set[str] = set()  # canonical URLs of this post
-        for raw_url in post.urls:
+        for raw_url in table.urls[start:end]:
             parts = url_parts(raw_url)
             if parts is None:
                 skipped += 1
             elif parts[0] not in seen:
                 url, host = parts
                 seen.add(url)
-                users.append(post.user_id)
+                users.append(user)
                 urls.append(url)
                 domain[url] = host
     return Corpus.from_links(users, urls, domain, Counter(urls), skipped)

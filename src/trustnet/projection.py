@@ -26,6 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .bicm import BicmModel, BipartiteGraph
+from .ingest import unique
 
 #: a truncated pmf may drop at most this fraction of the smallest tail read from it
 TRUNCATION = 1e-16
@@ -102,17 +103,20 @@ def cooccurrences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:
-    """Binomial(n, q[r]) pmf over 0..width-1 per row r, from summed log ratios.
+    """Binomial(n, q[r]) pmf over 0..width-1, count-major: [j, r] is P(X_r = j).
 
-    pmf[j+1] / pmf[j] = (n - j) / (j + 1) * q / (1 - q); in log space no entry
-    is lost where (1 - q)^n underflows.
+    From summed log ratios pmf[j+1] / pmf[j] = (n - j) / (j + 1) * q / (1 - q);
+    in log space no entry is lost where (1 - q)^n underflows. Built in one array.
     """
-    j = np.arange(width)
+    j = np.arange(width - 1)
+    pmf = np.empty((width, q.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        odds = np.log(q) - np.log1p(-q)
-        steps = np.log(n - j[:-1]) - np.log(j[1:]) + odds[:, None]
-        logs = np.cumsum(np.concatenate([(n * np.log1p(-q))[:, None], steps], axis=1), axis=1)
-    return np.where(q[:, None] == 1.0, (j == n).astype(float), np.exp(logs))
+        np.multiply(n, np.log1p(-q), out=pmf[0])
+        np.add.outer(np.log(n - j) - np.log(j + 1), np.log(q) - np.log1p(-q), out=pmf[1:])
+        np.cumsum(pmf, axis=0, out=pmf)
+    np.exp(pmf, out=pmf)
+    pmf[:, q == 1.0] = (np.arange(width) == n)[:, None]
+    return pmf
 
 
 def _class_pmfs(q: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
@@ -128,7 +132,7 @@ def _class_pmfs(q: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
     top = 0
     for n, qc in zip(sizes.tolist(), q.T):
         if qc.any():
-            factor = np.ascontiguousarray(_binomial_pmfs(n, qc, min(n + 1, length)).T)
+            factor = _binomial_pmfs(n, qc, min(n + 1, length))
             reach = min(top + n, length - 1) + 1
             np.multiply(pmf[:reach], factor[0], out=out[:reach])
             for j in range(1, factor.shape[0]):
@@ -147,6 +151,7 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     summed directly. The pmf is log-concave, so once r = pmf[L-1] / pmf[L-2]
     is below 1 the mass past L is at most pmf[L-1] * r / (1 - r); L doubles
     until that bound is below TRUNCATION times the row's smallest tail.
+    Finished rows' tails fill one count-major table; one gather reads every test's.
     """
     support = (q > 0) @ sizes
     kmax = np.zeros(q.shape[0], dtype=np.int64)
@@ -154,7 +159,7 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     # first guess: past the largest count and 9 sd above the mean
     guess = np.maximum(kmax, q @ sizes + 9.0 * np.sqrt((q * (1.0 - q)) @ sizes)) + 40
     need = np.minimum(support + 1, np.ceil(guess).astype(np.int64))
-    tails = np.zeros(ks.size)
+    table = np.zeros((1, q.shape[0]))  # [k, r]: P(V_r >= k), k past row r's length at 0.0
     pending = np.flatnonzero(np.bincount(rows, minlength=q.shape[0]))  # np.unique(rows), in O(rows)
     while pending.size:
         bits = np.ceil(np.log2(need[pending])).astype(np.int64)
@@ -167,13 +172,15 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
             r = last / pmf[max(length - 2, 0)]
             done = (length > support[batch]) | (last == 0.0) | (
                 (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
-        col = np.full(q.shape[0], -1)
-        col[batch[done]] = np.flatnonzero(done)  # each row finished here: its column in ``above``
-        hit = col[rows] >= 0
-        tails[hit] = above[np.minimum(ks[hit], length), col[rows[hit]]]
+        table = np.pad(table, ((0, length + 1 - table.shape[0]), (0, 0)))  # lengths never fall
+        table[:, batch[done]] = np.minimum(above[:, done], 1.0)
         need[batch] = np.minimum(support[batch] + 1, 2 * length)
         pending = np.setdiff1d(pending, batch[done])
-    return np.where(ks == 0, 1.0, np.minimum(tails, 1.0))
+    table[0] = 1.0  # k = 0 is certain
+    index = np.minimum(ks, table.shape[0] - 1)  # above[length] is 0.0 too
+    index *= q.shape[0]
+    index += rows
+    return table.take(index)
 
 
 def poisson_binomial_tail(probs, k: int) -> float:
@@ -243,8 +250,8 @@ def _class_pairs(url_cls: np.ndarray, url_a: np.ndarray, url_b: np.ndarray, n_cl
     key = np.minimum(ca, cb)
     key *= n_cls
     key += np.maximum(ca, cb, out=ca)
-    del ca, cb  # two pair arrays fewer while np.unique copies and sorts the keys
-    keys = np.unique(key, return_counts=True)[0]  # counts take the sort path, not the slower hash
+    del ca, cb  # two pair arrays fewer while unique copies and sorts the keys
+    keys = unique(key)
     return keys, np.searchsorted(keys, key)
 
 
@@ -273,8 +280,10 @@ def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, 
     if n_hypotheses < pvalues.size:
         raise ValueError("n_hypotheses smaller than number of realized tests")
     order = np.sort(pvalues)
-    ranks = np.arange(1, order.size + 1)
-    passing = order <= ranks * alpha / n_hypotheses
+    cutoffs = np.arange(1.0, order.size + 1)  # r * alpha / M, built in place
+    cutoffs *= alpha
+    cutoffs /= n_hypotheses
+    passing = order <= cutoffs
     if not passing.any():
         return 0, 0.0
     r = int(np.max(np.where(passing)[0])) + 1

@@ -4,6 +4,7 @@ import logging
 import operator
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -12,7 +13,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustnet import ingest, pipeline
@@ -22,6 +23,7 @@ from trustnet.ingest import (
     KnowledgeBaseError,
     Label,
     POST_KINDS,
+    PostTable,
     RawPost,
     build_corpus,
     canonical_url,
@@ -75,7 +77,7 @@ class TestLoadPosts:
         p = tmp_path / "posts.jsonl"
         p.write_text("")
         posts, warnings = load_posts(p)
-        assert posts == []
+        assert list(posts) == []
         assert warnings == 0
 
     def test_duplicate_post_id_skipped(self, tmp_path):
@@ -90,7 +92,7 @@ class TestLoadPosts:
         write_posts(p, [_post("p0", "u1", [], kind="repost"),
                         {"post_id": "p1", "user_id": "u1"}])
         posts, warnings = load_posts(p)
-        assert posts == []
+        assert list(posts) == []
         assert warnings == 2
 
     def test_unreadable_file_is_fatal(self, tmp_path):
@@ -546,6 +548,79 @@ class TestCorpusGroupings:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
+
+
+class TestPostTable:
+    POSTS = [RawPost("p0", "u1", 1.5, ("https://a.com/x", "https://b.org/y"), "original"),
+             RawPost("p1", "u2", 2.0, (), "quote"),
+             RawPost("p2", "u1", -3.0, ("https://a.com/x",), "reply")]
+
+    def test_indexing_behaves_as_on_a_list(self):
+        table = PostTable(self.POSTS)
+        assert len(table) == 3
+        for i in range(-3, 3):
+            assert table[i] == self.POSTS[i]
+            assert type(table[i]) is RawPost and type(table[i].urls) is tuple
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                table[i]
+        assert list(table) == self.POSTS
+        assert list(PostTable()) == [] and len(PostTable()) == 0
+
+    def test_appended_posts_follow(self):
+        table = PostTable(self.POSTS[:1])
+        table += self.POSTS[1:]
+        assert list(table) == self.POSTS
+        bad = [RawPost("p3", "u1", 0.0, ("https://c.net/z",), "repost"),
+               RawPost("p3", "u1", None, ("https://c.net/z",), "reply"),
+               RawPost("p3", 7, 0.0, ("https://c.net/z",), "reply"),
+               RawPost("p3", "u1", 0.0, ("https://c.net/z", None), "reply")]
+        for post in bad:  # a post that fails adds nothing
+            with pytest.raises((ValueError, TypeError)):
+                table += [post]
+            assert list(table) == self.POSTS
+            assert len(table.urls) == table.offsets[-1] == 3
+
+    def test_load_posts_returns_a_table(self, tmp_path):
+        p = tmp_path / "posts.jsonl"
+        write_posts(p, [_post(f"p{i}", f"u{i % 2}", ["https://a.com/x"] * i, kind=POST_KINDS[i])
+                        for i in range(4)])
+        posts, _ = load_posts(p)
+        assert isinstance(posts, PostTable)
+        assert [len(post.urls) for post in posts] == [0, 1, 2, 3]
+        assert posts.offsets.tolist() == [0, 0, 1, 3, 6] and list(posts.kinds) == [0, 1, 2, 3]
+
+    def test_a_table_and_its_list_build_equal_corpora(self, tmp_path):
+        p = tmp_path / "posts.jsonl"
+        generate_synthetic(SyntheticSpec(30, 4, 5), p, tmp_path / "kb.csv")
+        posts, _ = load_posts(p)
+        assert corpus_arrays(build_corpus(posts)) == corpus_arrays(build_corpus(list(posts)))
+        assert corpus_arrays(build_corpus(posts)) == corpus_arrays(build_corpus(iter(posts)))
+
+    def test_load_posts_peak_per_post(self, tmp_path):
+        # planted scale M: one RawPost, its URL tuple and its float per post took ~265 B;
+        # the columns take ~140 B, the line decode and the seen post ids included
+        p = tmp_path / "posts.jsonl"
+        generate_synthetic(SyntheticSpec(500, 20, 15), p, tmp_path / "kb.csv")
+        tracemalloc.start()
+        try:
+            posts, _ = load_posts(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(posts) > 15_000
+        assert peak <= 180 * len(posts)
+
+
+class TestUnique:
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=50))
+    @example(keys=[])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got, want = ingest.unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 # ``_parse_post``, ``load_posts`` (without its log records) and ``build_corpus`` as
