@@ -8,13 +8,12 @@ Under the null a link probability depends only on the two fitnesses and on
 whether the link is forced, so users with equal fitness and equal forced-link
 partners form one class, and URLs another. A pair's count distribution then
 depends only on its unordered URL-class pair: it is the convolution of one
-Binomial(n_c, q_c) per user class c. One pmf per class pair serves every URL
-pair in it, built count-major (a row per count, a column per class pair), and
-the tail at the observed count is summed directly, so far-tail p-values keep
-their relative precision. The p-values go through a
-Benjamini-Hochberg scan sized to all possible URL pairs; surviving pairs form
-the validated monopartite URL network. Pairs stay numpy arrays from the count
-to that cut: only validated edges become tuples.
+Binomial(n_c, q_c) per user class c. One pmf per class pair, built count-major
+(a row per count, a column per class pair) in row groups of bounded size, serves
+each distinct (class pair, count) test, whose tail is summed directly, so far-tail
+p-values keep their relative precision. A Benjamini-Hochberg scan over the distinct
+p-values, sized to all possible URL pairs, keeps the validated URL network. Pairs
+stay numpy arrays, 20 bytes each, up to that cut: only validated edges become tuples.
 """
 
 from __future__ import annotations
@@ -26,10 +25,11 @@ import numpy as np
 from scipy import sparse
 
 from .bicm import BicmModel, BipartiteGraph
-from .ingest import unique
 
 #: a truncated pmf may drop at most this fraction of the smallest tail read from it
 TRUNCATION = 1e-16
+#: most cells (counts x class pairs) of one class-pmf row group
+CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,16 @@ class ValidatedNetwork:
 
 
 def cooccurrences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common users of every URL column pair that has any, as int64 arrays.
+    """Common users of every URL column pair that has any.
 
-    Returns (url_a, url_b, observed) with url_a < url_b, ascending by (url_a, url_b).
+    Returns (url_a, url_b, observed) with url_a < url_b, ascending by (url_a, url_b):
+    the product's own COO columns: scipy's index dtype (int32 while it fits), int32 counts.
     """
     adj = graph.biadjacency.astype(np.int32)
     overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
     overlap.sort_indices()
     pairs = overlap.tocoo()
-    return tuple(a.astype(np.int64) for a in (pairs.row, pairs.col, pairs.data))
+    return pairs.row, pairs.col, pairs.data
 
 
 def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:
@@ -135,10 +136,9 @@ def _class_pmfs(q: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
             factor = _binomial_pmfs(n, qc, min(n + 1, length))
             reach = min(top + n, length - 1) + 1
             np.multiply(pmf[:reach], factor[0], out=out[:reach])
-            for j in range(1, factor.shape[0]):
+            for j, f in enumerate(factor[1:], 1):
                 m = min(top + 1, length - j)
-                np.multiply(pmf[:m], factor[j], out=term[:m])
-                out[j : j + m] += term[:m]
+                out[j : j + m] += np.multiply(pmf[:m], f, out=term[:m])
             pmf, out, top = out, pmf, reach - 1
     return pmf
 
@@ -151,7 +151,7 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     summed directly. The pmf is log-concave, so once r = pmf[L-1] / pmf[L-2]
     is below 1 the mass past L is at most pmf[L-1] * r / (1 - r); L doubles
     until that bound is below TRUNCATION times the row's smallest tail.
-    Finished rows' tails fill one count-major table; one gather reads every test's.
+    Batches run in equal row groups of at most CELLS // L rows; finished rows write their tests' tails.
     """
     support = (q > 0) @ sizes
     kmax = np.zeros(q.shape[0], dtype=np.int64)
@@ -159,28 +159,29 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     # first guess: past the largest count and 9 sd above the mean
     guess = np.maximum(kmax, q @ sizes + 9.0 * np.sqrt((q * (1.0 - q)) @ sizes)) + 40
     need = np.minimum(support + 1, np.ceil(guess).astype(np.int64))
-    table = np.zeros((1, q.shape[0]))  # [k, r]: P(V_r >= k), k past row r's length at 0.0
-    pending = np.flatnonzero(np.bincount(rows, minlength=q.shape[0]))  # np.unique(rows), in O(rows)
-    while pending.size:
+    tails = np.ones(rows.size)  # k = 0 is certain
+    slot = np.full(q.shape[0], -1)  # a finished row's column in its group, else -1
+    todo = np.bincount(rows, minlength=q.shape[0]) > 0
+    while todo.any():
+        pending = np.flatnonzero(todo)
         bits = np.ceil(np.log2(need[pending])).astype(np.int64)
         batch, length = pending[bits == bits.min()], 1 << int(bits.min())
-        pmf = _class_pmfs(q[batch], sizes, length)
-        above = np.cumsum(np.pad(pmf, ((0, 1), (0, 0)))[::-1], axis=0)[::-1]
-        last = pmf[-1]
-        smallest = above[np.minimum(kmax[batch], length), np.arange(batch.size)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = last / pmf[max(length - 2, 0)]
-            done = (length > support[batch]) | (last == 0.0) | (
-                (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
-        table = np.pad(table, ((0, length + 1 - table.shape[0]), (0, 0)))  # lengths never fall
-        table[:, batch[done]] = np.minimum(above[:, done], 1.0)
+        for group in np.array_split(batch, -(-batch.size // max(CELLS // length, 1))):
+            pmf = _class_pmfs(q[group], sizes, length)
+            above = np.cumsum(np.pad(pmf, ((0, 1), (0, 0)))[::-1], axis=0)[::-1]
+            smallest = above[np.minimum(kmax[group], length), np.arange(group.size)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                last, r = pmf[-1], pmf[-1] / pmf[max(length - 2, 0)]
+                done = (length > support[group]) | (last == 0.0) | (
+                    (r < 1.0) & (last * r / (1.0 - r) <= TRUNCATION * smallest))
+            slot[group[done]] = np.flatnonzero(done)
+            t = np.flatnonzero((slot[rows] >= 0) & (ks > 0))  # counts past L read above[L], 0.0
+            tails[t] = np.minimum(above[np.minimum(ks[t], length), slot[rows[t]]], 1.0)
+            slot[group] = -1
+            todo[group[done]] = False
+            del pmf, above, last  # before the next group's kernel
         need[batch] = np.minimum(support[batch] + 1, 2 * length)
-        pending = np.setdiff1d(pending, batch[done])
-    table[0] = 1.0  # k = 0 is certain
-    index = np.minimum(ks, table.shape[0] - 1)  # above[length] is 0.0 too
-    index *= q.shape[0]
-    index += rows
-    return table.take(index)
+    return tails
 
 
 def poisson_binomial_tail(probs, k: int) -> float:
@@ -244,28 +245,47 @@ def pair_pvalue(model: BicmModel, pair: tuple[int, int], observed: int) -> PairT
     return PairTest(url_a=a, url_b=b, observed=observed, pvalue=poisson_binomial_tail(q, observed))
 
 
-def _class_pairs(url_cls: np.ndarray, url_a: np.ndarray, url_b: np.ndarray, n_cls: int):
-    """``np.unique(key, return_inverse=True)`` of class-pair keys min * n_cls + max, by search."""
+def _unique_inverse(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` by one argsort, sorting ``key`` in place as work array."""
+    order = np.argsort(key)
+    key.sort()
+    new = np.zeros(key.size, dtype=bool)  # a sorted key other than the one before it
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    distinct = np.concatenate((key[:1], key[1:][new[1:]]))
+    key[:] = new  # cumsum straight from the bools would cast them in a pair-sized copy
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(key, out=key)
+    return distinct, inverse
+
+
+def _class_pairs(url_cls: np.ndarray, url_a: np.ndarray, url_b: np.ndarray, observed: np.ndarray,
+                 n_cls: int):
+    """(Class-pair keys min * n_cls + max, row and count per test, test per pair) of the
+    distinct (URL-class pair, count) tests, which ascend by (key, count)."""
     ca, cb = url_cls[url_a], url_cls[url_b]
     key = np.minimum(ca, cb)
     key *= n_cls
     key += np.maximum(ca, cb, out=ca)
-    del ca, cb  # two pair arrays fewer while unique copies and sorts the keys
-    keys = unique(key)
-    return keys, np.searchsorted(keys, key)
+    del ca, cb  # two pair arrays fewer while the keys are sorted
+    width = int(observed.max(initial=0)) + 1
+    key *= width  # key * width + count, in place
+    key += observed
+    tests, index = _unique_inverse(key)
+    keys, rows = np.unique(tests // width, return_inverse=True)
+    return keys, rows, tests % width, index
 
 
 def pair_pvalues(graph: BipartiteGraph, model: BicmModel) -> PairTests:
-    """Tests for every co-occurring URL pair; one pmf serves each URL-class pair.
+    """Tests for every co-occurring URL pair; one tail serves each distinct (URL-class pair, count).
 
     The tests come in ascending (url_a, url_b) order, as ``cooccurrences`` gives the pairs.
     """
     url_a, url_b, observed = cooccurrences(graph)
     p, sizes, url_cls = _class_probabilities(model)
     n_cls = p.shape[1]
-    keys, rows = _class_pairs(url_cls, url_a, url_b, n_cls)
-    tails = class_tails((p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, observed)
-    return PairTests(url_a, url_b, observed, tails)
+    keys, rows, ks, index = _class_pairs(url_cls, url_a, url_b, observed, n_cls)
+    tails = class_tails((p[:, keys // n_cls] * p[:, keys % n_cls]).T, sizes, rows, ks)
+    return PairTests(url_a, url_b, observed, tails.take(index))
 
 
 def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, float]:
@@ -279,15 +299,16 @@ def bh_scan(pvalues: np.ndarray, alpha: float, n_hypotheses: int) -> tuple[int, 
         raise ValueError("alpha must lie in (0, 1)")
     if n_hypotheses < pvalues.size:
         raise ValueError("n_hypotheses smaller than number of realized tests")
-    order = np.sort(pvalues)
-    cutoffs = np.arange(1.0, order.size + 1)  # r * alpha / M, built in place
+    # the largest passing rank closes its tie group: the cutoff only grows with the rank
+    values, counts = np.unique(pvalues, return_counts=True)
+    ranks = np.cumsum(counts)
+    cutoffs = ranks.astype(float)  # r * alpha / M, built in place
     cutoffs *= alpha
     cutoffs /= n_hypotheses
-    passing = order <= cutoffs
-    if not passing.any():
+    passing = np.flatnonzero(values <= cutoffs)
+    if not passing.size:
         return 0, 0.0
-    r = int(np.max(np.where(passing)[0])) + 1
-    return r, float(order[r - 1])
+    return int(ranks[passing[-1]]), float(values[passing[-1]])
 
 
 def bh_validate(

@@ -1,3 +1,17 @@
+import tracemalloc
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     lines = []

@@ -4,7 +4,6 @@ import logging
 import operator
 import random
 import tempfile
-import tracemalloc
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -35,6 +34,7 @@ from trustnet.ingest import (
 from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
+from conftest import traced_peak
 from test_voters import user_publishers, user_urls
 
 
@@ -602,12 +602,7 @@ class TestPostTable:
         # the columns take ~140 B, the line decode and the seen post ids included
         p = tmp_path / "posts.jsonl"
         generate_synthetic(SyntheticSpec(500, 20, 15), p, tmp_path / "kb.csv")
-        tracemalloc.start()
-        try:
-            posts, _ = load_posts(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (posts, _), peak = traced_peak(load_posts, p)
         assert len(posts) > 15_000
         assert peak <= 180 * len(posts)
 

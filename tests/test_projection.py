@@ -1,5 +1,5 @@
 import itertools
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from scipy import sparse
 from trustnet import bicm, projection
 from trustnet.ingest import RawPost, build_corpus, load_posts
 from trustnet.synth import SyntheticSpec, generate_synthetic
+
+from conftest import traced_peak
 
 
 def tail_by_enumeration(probs, k):
@@ -164,6 +166,42 @@ class TestClassPmfs:
         assert np.array_equal(got.T.view(np.int64), want.view(np.int64))
 
 
+class TestClassTails:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bits_keep_under_duplicates_reorders_and_small_row_groups(self, data):
+        n_rows, n_classes = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 3))
+        prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.3))
+        q = np.array(data.draw(st.lists(st.lists(prob, min_size=n_classes, max_size=n_classes),
+                                        min_size=n_rows, max_size=n_rows)))
+        # supports past the pmf length, so the tail bound decides when a row is done
+        sizes = np.array(data.draw(st.lists(st.integers(1, 400), min_size=n_classes,
+                                            max_size=n_classes)))
+        tests = data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, 80)),
+                                   min_size=1, max_size=12))
+        rows, ks = (np.array([t[i] for t in tests], dtype=np.int64) for i in (0, 1))
+        want = projection.class_tails(q, sizes, rows, ks).view(np.int64)
+        order = data.draw(st.permutations(range(rows.size)))
+        again = data.draw(st.lists(st.integers(0, rows.size - 1), max_size=8))
+        shuffled = np.array(order + again, dtype=np.int64)
+        got = projection.class_tails(q, sizes, rows[shuffled], ks[shuffled])
+        np.testing.assert_array_equal(got.view(np.int64), want[shuffled])
+        with mock.patch.object(projection, "CELLS", 1 << 6):  # a row or two per group
+            np.testing.assert_array_equal(
+                projection.class_tails(q, sizes, rows, ks).view(np.int64), want)
+
+    def test_peak_follows_cells_not_rows(self):
+        # 4,000 class pairs at pmf length 128: a kernel as wide as the batch and a
+        # count x class-pair table of every tail took ~80 x CELLS * 8 bytes; groups take ~6
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.02, 0.2, (4000, 3))
+        ks = rng.integers(1, 30, q.shape[0])
+        tails, peak = traced_peak(projection.class_tails, q, np.array([60, 60, 60]),
+                                  np.arange(q.shape[0]), ks)
+        assert tails.size == q.shape[0] and (tails > 0.0).all()
+        assert peak <= 8 * projection.CELLS * 8
+
+
 def counts_of(graph):
     """``cooccurrences`` as a {(url_a, url_b): observed} dict, in its order."""
     url_a, url_b, observed = projection.cooccurrences(graph)
@@ -179,31 +217,37 @@ class TestClassPairs:
                            dtype=np.int64)
         url = st.integers(0, url_cls.size - 1)
         pairs = data.draw(st.lists(st.tuples(url, url), max_size=60))
-        url_a, url_b = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
-        before = url_cls.copy()
+        dtype = data.draw(st.sampled_from([np.int64, np.int32]))  # cooccurrences gives int32
+        url_a, url_b = (np.array([p[i] for p in pairs], dtype=dtype) for i in (0, 1))
+        observed = np.array(data.draw(st.lists(st.integers(1, 6), min_size=len(pairs),
+                                               max_size=len(pairs))), dtype=dtype)
+        before = [a.copy() for a in (url_cls, url_a, url_b, observed)]
         ca, cb = url_cls[url_a], url_cls[url_b]
-        want = np.unique(np.minimum(ca, cb) * n_cls + np.maximum(ca, cb), return_inverse=True)
-        got = projection._class_pairs(url_cls, url_a, url_b, n_cls)
+        key = np.minimum(ca, cb) * n_cls + np.maximum(ca, cb)
+        width = int(observed.max(initial=0)) + 1
+        tests, index = np.unique(key * width + observed, return_inverse=True)
+        want = (*np.unique(tests // width, return_inverse=True), tests % width, index)
+        got = projection._class_pairs(url_cls, url_a, url_b, observed, n_cls)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(url_cls, before)
+        keys, rows, ks, index = got
+        np.testing.assert_array_equal(keys[rows[index]], key)  # each pair reads its own test
+        np.testing.assert_array_equal(ks[index], observed)
+        for a, b in zip(before, (url_cls, url_a, url_b, observed)):
+            np.testing.assert_array_equal(a, b)
 
-    def test_pair_pvalues_peak_stays_within_eight_pair_arrays(self, tmp_path):
+    def test_pair_pvalues_peak_stays_within_six_pair_arrays(self, tmp_path):
         # planted scale M: an argsort and inverse over the class-pair keys took it past 11,
-        # and per-batch gathers of each finished row's tails past 9
+        # per-batch gathers of each finished row's tails past 9, and int64 copies of the
+        # co-occurrence columns with a count x class-pair table of tails to 7.4
         generate_synthetic(SyntheticSpec(500, 20, 15), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
         graph = bicm.build_graph(build_corpus(load_posts(tmp_path / "posts.jsonl")[0]))
         model = bicm.solve(graph)
         n_pairs = len(projection.cooccurrences(graph)[0])
-        tracemalloc.start()
-        try:
-            tests = projection.pair_pvalues(graph, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tests, peak = traced_peak(projection.pair_pvalues, graph, model)
         assert len(tests) == n_pairs > 80_000
-        assert peak <= 8 * n_pairs * np.dtype(np.int64).itemsize
+        assert peak <= 6 * n_pairs * np.dtype(np.int64).itemsize
 
 
 class TestCooccurrences:
@@ -217,7 +261,7 @@ class TestCooccurrences:
         )
         columns = projection.cooccurrences(g)
         assert [c.tolist() for c in columns] == [[0], [1], [2]]
-        assert all(c.dtype == np.int64 for c in columns)
+        assert all(c.dtype == np.int32 for c in columns)  # scipy's index dtype at this size
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -455,6 +499,40 @@ def bh_oracle(pvalues, alpha, m):
         return set()
     cutoff = ordered[r - 1]
     return {i for i, p in enumerate(pvalues) if p <= cutoff}
+
+
+def bh_scan_oracle(pvalues, alpha, n_hypotheses):
+    """The sort-based scan ``bh_scan`` replaced: one cutoff r * alpha / M per sorted p-value."""
+    order = np.sort(pvalues)
+    cutoffs = np.arange(1.0, order.size + 1)
+    cutoffs *= alpha
+    cutoffs /= n_hypotheses
+    passing = order <= cutoffs
+    if not passing.any():
+        return 0, 0.0
+    r = int(np.max(np.where(passing)[0])) + 1
+    return r, float(order[r - 1])
+
+
+#: p-values with heavy ties: the extremes, cutoffs r * alpha / M of small M, and a few others
+TIED_PVALUES = [0.0, 5e-324, 1e-300, 1e-12, 0.0025, 0.005, 0.01, 0.0125, 0.02, 0.025, 0.05,
+                0.1, 0.25, 0.5, 1.0]
+
+
+class TestBhScanOracle:
+    @given(st.lists(st.one_of(st.sampled_from(TIED_PVALUES), st.floats(0.0, 1.0)), max_size=60),
+           st.integers(0, 30), st.integers(0, 30),
+           st.sampled_from([1e-6, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999]))
+    @example(values=[0.0, 0.0, 5e-324], ones=0, untested=0, alpha=0.05)
+    @example(values=[0.0025] * 4 + [1.0], ones=3, untested=12, alpha=0.05)  # ties on their cutoff
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_threshold_bits_equal_the_sort_scan(self, values, ones, untested, alpha):
+        pv = np.array(values + [1.0] * ones, dtype=float)  # tested pairs at p = 1 pad the list
+        m = max(pv.size + untested, 1)
+        rank, threshold = projection.bh_scan(pv, alpha, m)
+        want_rank, want_threshold = bh_scan_oracle(pv, alpha, m)
+        assert (rank, threshold.hex()) == (want_rank, want_threshold.hex())
+        assert type(rank) is int and type(threshold) is float
 
 
 class TestBhValidation:
