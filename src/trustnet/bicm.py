@@ -93,54 +93,43 @@ class BicmModel:
     iterations: int
 
 
+def _pin_full(deg, active, pinned, other_deg, other_active):
+    """Pin the active nodes whose remaining degree equals the other layer's active count.
+
+    In place, each pinned node takes one degree from every active partner and
+    leaves the system. Returns the (pinned node, partner) index arrays.
+    """
+    full = active & (deg == other_active.sum()) & (deg > 0)
+    own, partners = np.flatnonzero(full), np.flatnonzero(other_active)
+    other_deg[other_active] -= own.size
+    deg[full] = 0
+    active[full] = False
+    pinned |= full
+    return np.repeat(own, partners.size), np.tile(partners, own.size)
+
+
 def _reduce_degenerate(k: np.ndarray, d: np.ndarray):
     """Pin full-degree nodes to probability-1 links and peel exhausted nodes.
 
     Returns (active_users, active_urls, remaining user degrees, remaining URL
-    degrees, forced link index pairs, pinned user set, pinned URL set).
-    Iterates because pinning can cascade.
+    degrees, forced link index pairs, pinned user mask, pinned URL mask).
+    Users pin, then URLs, then exhausted nodes drop; repeats while pins cascade.
     """
-    k = k.astype(np.int64).copy()
-    d = d.astype(np.int64).copy()
-    active_u = np.ones(k.size, dtype=bool)
-    active_a = np.ones(d.size, dtype=bool)
+    k = k.astype(np.int64)
+    d = d.astype(np.int64)
+    active_u, active_a = np.ones(k.size, dtype=bool), np.ones(d.size, dtype=bool)
+    pinned_u, pinned_a = np.zeros(k.size, dtype=bool), np.zeros(d.size, dtype=bool)
     forced: list[tuple[int, int]] = []
-    pinned_users: set[int] = set()
-    pinned_urls: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        m_eff = int(active_a.sum())
-        full_u = active_u & (k == m_eff) & (k > 0)
-        if full_u.any():
-            url_idx = np.where(active_a)[0]
-            for i in np.where(full_u)[0]:
-                pinned_users.add(int(i))
-                forced.extend((int(i), int(a)) for a in url_idx)
-            d[active_a] -= int(full_u.sum())
-            k[full_u] = 0
-            active_u[full_u] = False
-            changed = True
-        n_eff = int(active_u.sum())
-        full_a = active_a & (d == n_eff) & (d > 0)
-        if full_a.any():
-            user_idx = np.where(active_u)[0]
-            for a in np.where(full_a)[0]:
-                pinned_urls.add(int(a))
-                forced.extend((int(i), int(a)) for i in user_idx)
-            k[active_u] -= int(full_a.sum())
-            d[full_a] = 0
-            active_a[full_a] = False
-            changed = True
-        dead_u = active_u & (k == 0)
-        if dead_u.any():
-            active_u[dead_u] = False
-            changed = True
-        dead_a = active_a & (d == 0)
-        if dead_a.any():
-            active_a[dead_a] = False
-            changed = True
-    return active_u, active_a, k, d, forced, pinned_users, pinned_urls
+    n_active = -1
+    while n_active != active_u.sum() + active_a.sum():
+        n_active = active_u.sum() + active_a.sum()
+        users, urls = _pin_full(k, active_u, pinned_u, d, active_a)
+        forced.extend(zip(users.tolist(), urls.tolist()))
+        urls, users = _pin_full(d, active_a, pinned_a, k, active_u)
+        forced.extend(zip(users.tolist(), urls.tolist()))
+        active_u &= k != 0
+        active_a &= d != 0
+    return active_u, active_a, k, d, forced, pinned_u, pinned_a
 
 
 def _class_residual(xs, ys, ks, ds, ck, ed) -> float:
@@ -153,7 +142,11 @@ def _class_residual(xs, ys, ks, ds, ck, ed) -> float:
     return float(max(err_u.max(initial=0.0), err_a.max(initial=0.0)))
 
 
-def _newton_polish(xs, ys, ks, ds, ck, ed, tol, max_steps=60):
+#: Most damped Newton steps one polish takes.
+_NEWTON_STEPS = 60
+
+
+def _newton_polish(xs, ys, ks, ds, ck, ed, tol):
     """Damped Newton on the log-fitness class system.
 
     The product gauge (x -> c*x, y -> y/c) leaves all probabilities unchanged,
@@ -163,7 +156,7 @@ def _newton_polish(xs, ys, ks, ds, ck, ed, tol, max_steps=60):
     K = xs.size
     z = np.concatenate([np.log(xs), np.log(ys)])
     best = _class_residual(xs, ys, ks, ds, ck, ed)
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         xs = np.exp(z[:K])
         ys = np.exp(z[K:])
         xy = np.outer(xs, ys)
@@ -209,7 +202,7 @@ def solve(graph: BipartiteGraph, tol: float = 1e-8, max_iter: int = 10_000) -> B
         raise ValueError("max_iter must be >= 1")
 
     n, m = graph.n_users, graph.n_urls
-    active_u, active_a, k_eff, d_eff, forced, pinned_users, pinned_urls = (
+    active_u, active_a, k_eff, d_eff, forced, pinned_u, pinned_a = (
         _reduce_degenerate(graph.user_degrees, graph.url_degrees)
     )
     x = np.zeros(n)
@@ -257,10 +250,8 @@ def solve(graph: BipartiteGraph, tol: float = 1e-8, max_iter: int = 10_000) -> B
         x[active_u] = xs[k_inv]
         y[active_a] = ys[d_inv]
 
-    for i in pinned_users:
-        x[i] = np.inf
-    for a in pinned_urls:
-        y[a] = np.inf
+    x[pinned_u] = np.inf
+    y[pinned_a] = np.inf
 
     return BicmModel(
         x=x, y=y, forced_links=frozenset(forced), residual=residual, iterations=iterations

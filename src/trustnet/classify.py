@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,26 +224,14 @@ def stratified_cv(
         raise ValueError("each class needs at least 2 samples")
     folds = min(folds, minority)
     report = CvReport(folds=folds)
-    assignment = stratified_folds(samples, folds, seed)
-    for f in range(folds):
-        test_idx = set(assignment[f])
-        train = [s for i, s in enumerate(samples) if i not in test_idx]
-        test = [s for i, s in enumerate(samples) if i in test_idx]
-        stump = fit_stump(train)
-        tp = fn = tn = fp = 0
-        for score, label in test:
-            pred = stump.predict(score)
-            if label is Label.T:
-                if pred is Label.T:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if pred is Label.N:
-                    tn += 1
-                else:
-                    fp += 1
-        report.results.append(FoldResult(tp=tp, fn=fn, tn=tn, fp=fp))
+    for fold in stratified_folds(samples, folds, seed):
+        held_out = set(fold)
+        stump = fit_stump([s for i, s in enumerate(samples) if i not in held_out])
+        # (label is T, prediction is T) per held-out sample
+        counts = Counter((label is Label.T, stump.predict(score) is Label.T)
+                         for score, label in (samples[i] for i in fold))
+        report.results.append(FoldResult(tp=counts[True, True], fn=counts[True, False],
+                                         tn=counts[False, False], fp=counts[False, True]))
     return report
 
 

@@ -16,8 +16,8 @@ runner read, or None when the stage must recompute. The runner looks it up
 by name at call time, so a wrapper set on the module attribute sees every
 call.
 
-All outputs are plain CSV/JSON written deterministically: identical inputs,
-config and seeds yield byte-identical files.
+All outputs are plain CSV/JSON, byte-identical on one machine for identical
+inputs, config and seeds; the README says which bytes can differ across CPUs.
 """
 
 from __future__ import annotations

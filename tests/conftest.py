@@ -1,4 +1,7 @@
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 
 def traced_peak(fn, *args):
@@ -10,6 +13,26 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of a file or directory.
+
+    A meta.json counts without its ``config_hash``: that hash covers the tags of
+    every stage upstream, so keeping it would move every downstream pin when
+    one stage's tag is bumped. report.json is hashed whole.
+    """
+    h = hashlib.sha256()
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    for path in paths:
+        data = path.read_bytes()
+        if path.name == "meta.json":
+            meta = json.loads(data)
+            del meta["config_hash"]
+            data = json.dumps(meta, sort_keys=True).encode()
+        h.update(f"{path.relative_to(root.parent).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

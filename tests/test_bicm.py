@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from trustnet import bicm
@@ -171,6 +174,113 @@ class TestSolve:
             bicm.solve(g, tol=0.0)
         with pytest.raises(ValueError):
             bicm.solve(g, max_iter=0)
+
+
+# The pin-and-peel rule as two hand-copied halves, one per layer, with the
+# pinned nodes as sets: the oracle the one-step rule in bicm must match.
+def reduce_degenerate_oracle(k: np.ndarray, d: np.ndarray):
+    """Pin full-degree nodes to probability-1 links and peel exhausted nodes.
+
+    Returns (active_users, active_urls, remaining user degrees, remaining URL
+    degrees, forced link index pairs, pinned user set, pinned URL set).
+    Iterates because pinning can cascade.
+    """
+    k = k.astype(np.int64).copy()
+    d = d.astype(np.int64).copy()
+    active_u = np.ones(k.size, dtype=bool)
+    active_a = np.ones(d.size, dtype=bool)
+    forced: list[tuple[int, int]] = []
+    pinned_users: set[int] = set()
+    pinned_urls: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        m_eff = int(active_a.sum())
+        full_u = active_u & (k == m_eff) & (k > 0)
+        if full_u.any():
+            url_idx = np.where(active_a)[0]
+            for i in np.where(full_u)[0]:
+                pinned_users.add(int(i))
+                forced.extend((int(i), int(a)) for a in url_idx)
+            d[active_a] -= int(full_u.sum())
+            k[full_u] = 0
+            active_u[full_u] = False
+            changed = True
+        n_eff = int(active_u.sum())
+        full_a = active_a & (d == n_eff) & (d > 0)
+        if full_a.any():
+            user_idx = np.where(active_u)[0]
+            for a in np.where(full_a)[0]:
+                pinned_urls.add(int(a))
+                forced.extend((int(i), int(a)) for i in user_idx)
+            k[active_u] -= int(full_a.sum())
+            d[full_a] = 0
+            active_a[full_a] = False
+            changed = True
+        dead_u = active_u & (k == 0)
+        if dead_u.any():
+            active_u[dead_u] = False
+            changed = True
+        dead_a = active_a & (d == 0)
+        if dead_a.any():
+            active_a[dead_a] = False
+            changed = True
+    return active_u, active_a, k, d, forced, pinned_users, pinned_urls
+
+
+@st.composite
+def biadjacencies(draw):
+    """1x1 to 8x8 boolean matrices of any density, 0-2 rows or columns forced full."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    density = draw(st.floats(0.0, 1.0))
+    adj = draw(arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0))) < density
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            adj[draw(st.integers(0, n - 1)), :] = True
+        else:
+            adj[:, draw(st.integers(0, m - 1))] = True
+    if not adj.any():
+        adj[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = True
+    return adj
+
+
+def solved_bytes(graph):
+    """What ``solve`` returns on ``graph``, as bytes, or the error it raises."""
+    try:
+        model = bicm.solve(graph)
+    except bicm.ConvergenceError as err:
+        return str(err)
+    return (model.x.tobytes(), model.y.tobytes(), model.forced_links, model.residual,
+            model.iterations)
+
+
+class TestReduceDegenerate:
+    @given(biadjacencies())
+    # u1 pins, then a1 links every user left and pins, which exhausts u2 and
+    # a3; u3 is then full on a2 alone and pins in the second pass
+    @example(np.array([[True, True, True], [True, False, False], [True, True, False]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_layer_oracle(self, adj):
+        # from_links drops the rows and columns that hold no link
+        g = graph_from([(f"u{i}", f"a{j}") for i, j in zip(*np.nonzero(adj))])
+        got = bicm._reduce_degenerate(g.user_degrees, g.url_degrees)
+        want = reduce_degenerate_oracle(g.user_degrees, g.url_degrees)
+        for mine, theirs in zip(got[:4], want[:4]):
+            assert np.array_equal(mine, theirs)
+        assert set(got[4]) == set(want[4])
+        assert (set(np.flatnonzero(got[5])), set(np.flatnonzero(got[6]))) == want[5:]
+
+        def oracle_with_masks(k, d):
+            *head, pinned_users, pinned_urls = reduce_degenerate_oracle(k, d)
+            masks = np.zeros(k.size, dtype=bool), np.zeros(d.size, dtype=bool)
+            masks[0][list(pinned_users)] = True
+            masks[1][list(pinned_urls)] = True
+            return (*head, *masks)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bicm, "_reduce_degenerate", oracle_with_masks)
+            want_solved = solved_bytes(g)
+        assert solved_bytes(g) == want_solved
 
 
 class TestLinkProbability:

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import logging
@@ -14,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tree_digest
 from trustnet import pipeline
 from trustnet.ingest import Label
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
@@ -78,26 +78,6 @@ PINS = {
 }
 
 
-def tree_digest(root: Path) -> str:
-    """SHA-256 over the sorted relative paths and bytes of a file or directory.
-
-    A meta.json counts without its ``config_hash``: that hash covers the tags of
-    every stage upstream, so keeping it would move every downstream pin when
-    one stage's tag is bumped. report.json is hashed whole.
-    """
-    h = hashlib.sha256()
-    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
-    for path in paths:
-        data = path.read_bytes()
-        if path.name == "meta.json":
-            meta = json.loads(data)
-            del meta["config_hash"]
-            data = json.dumps(meta, sort_keys=True).encode()
-        h.update(f"{path.relative_to(root.parent).as_posix()}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
-
-
 def test_run_directory_bytes_match_stage_tags(run):
     result, _ = run
     for stage in pipeline.STAGES:
@@ -111,6 +91,44 @@ def test_run_directory_bytes_match_stage_tags(run):
         "report.json differs from its pin: if a stage's bytes changed, bump its tag "
         "in pipeline.STAGES, then update the pins"
     )
+
+
+#: SHA-256 of the ingest and bicm stage directories of a run on ``SPEC`` plus
+#: one URL that every user shares and one user who shares every URL: 694 forced
+#: links, one pinned user and one pinned URL (``PINS``' corpus has none). Later
+#: stages are not pinned here: their p-value bits follow numpy's SIMD dispatch.
+FORCED_PINS = {
+    ("ingest", "6"): "96058ec68328ada10a3ab92cc5989b83a107bf339e5d826067a215fb734d85fe",
+    ("bicm", "1"): "062d4960a34624bc25d2fb56f1c3a713ef01877528d150632241314fe881cce1",
+}
+
+
+def write_forced_link_inputs(inputs: Path, out: Path) -> None:
+    """``inputs`` plus posts that give a URL every user shares and a user who shares every URL."""
+    lines = (inputs / "posts.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    everyone, completist = "https://everyone.example/story", "u9999"
+    users = sorted({r["user_id"] for r in records} | {completist})
+    urls = sorted({url for r in records for url in r["urls"]} | {everyone})
+    extra = [(f"e{i:05d}", user, everyone) for i, user in enumerate(users)]
+    extra += [(f"c{i:05d}", completist, url) for i, url in enumerate(urls)]
+    for post_id, user, url in extra:
+        record = {"post_id": post_id, "user_id": user, "timestamp": 1_800_000_000,
+                  "urls": [url], "kind": "original"}
+        lines.append(json.dumps(record, sort_keys=True))
+    (out / "posts.jsonl").write_text("\n".join(lines) + "\n")
+    (out / "kb.csv").write_bytes((inputs / "kb.csv").read_bytes())
+
+
+def test_forced_link_run_bytes_match_pins(inputs, tmp_path):
+    write_forced_link_inputs(inputs, tmp_path)
+    result = run_pipeline(make_config(tmp_path, tmp_path / "run"))
+    assert len(result.model.forced_links) == 694
+    assert (np.isinf(result.model.x).sum(), np.isinf(result.model.y).sum()) == (1, 1)
+    assert result.network.n_edges > 0
+    for stage in pipeline.STAGES[:2]:
+        key = (stage.name, stage.tag)
+        assert tree_digest(result.out_dir / stage.name) == FORCED_PINS.get(key), key
 
 
 class TestRunArtifacts:
