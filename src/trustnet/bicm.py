@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
-from .ingest import Corpus, incidence
+from .ingest import Corpus, Links, incidence
 
 
 class ConvergenceError(RuntimeError):
@@ -27,17 +26,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class BipartiteGraph:
-    """Binary user-URL graph, int64 so no count taken from it wraps, with both degree sequences."""
+    """Binary user-URL graph as ``Links`` (users × URLs), with both int64 degree sequences."""
 
     user_ids: tuple[str, ...]
     url_ids: tuple[str, ...]
-    biadjacency: sparse.csr_matrix
+    biadjacency: Links
     user_degrees: np.ndarray = field(init=False)
     url_degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.user_degrees = np.asarray(self.biadjacency.sum(axis=1)).ravel()
-        self.url_degrees = np.asarray(self.biadjacency.sum(axis=0)).ravel()
+        n_users, n_urls = self.biadjacency.shape
+        self.user_degrees = np.bincount(self.biadjacency.rows, minlength=n_users)
+        self.url_degrees = np.bincount(self.biadjacency.cols, minlength=n_urls)
 
     @property
     def n_users(self) -> int:

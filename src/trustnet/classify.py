@@ -120,27 +120,33 @@ def vote_columns(
     """Per column j, ``publisher_scores`` and ``coverage`` of the voters with ``select[:, j]`` set.
 
     With Bᵀ the publisher × user matrix of ``corpus.index``, one product each
-    gives every column's vote sums, vote counts and reached publishers.
+    gives every distinct column's vote sums, vote counts and reached
+    publishers; a column equal to the one before it shares that one's result.
     """
     index, bt = corpus.index, corpus.index.publisher_users
-    rows = [index.user_row[v.user_id] for v in voters]
-    chosen = np.zeros((len(index.users), select.shape[1]), dtype=np.int64)
-    chosen[rows] = select
+    by_column = np.ascontiguousarray(select.T)
+    new = np.ones(len(by_column), dtype=bool)  # a column unlike the one before it
+    new[1:] = (by_column[1:] != by_column[:-1]).any(axis=1)
+    distinct, column = select[:, new], np.cumsum(new) - 1
+    rows = np.array([index.user_row[v.user_id] for v in voters], dtype=np.int64)
+    chosen = np.zeros((len(index.users), distinct.shape[1]), dtype=bool)
+    chosen[rows] = distinct
     value = np.zeros(len(index.users))
-    value[rows] = [np.nan if v.value is None else v.value for v in voters]
-    votes = chosen * ~np.isnan(value)[:, None]
+    value[rows] = np.array([v.value for v in voters], dtype=float)  # None is nan
+    votes = chosen & ~np.isnan(value)[:, None]
     sums = (bt @ (votes * np.nan_to_num(value)[:, None])).T.tolist()
     counts = (bt @ votes).T.tolist()
     labels = [kb.label(p) for p in index.publishers]
-    levels = np.eye(len(Label), dtype=np.int64)[[list(Label).index(label) for label in labels]]
+    levels = np.array([[label is level for level in Label] for label in labels], dtype=np.int64)
     covered = ((bt @ chosen > 0).T.astype(np.int64) @ levels).tolist()
     universe = levels.sum(axis=0).tolist()
-    return [
+    results = [
         ([PublisherScore(p, s / n, n, label)
           for p, s, n, label in zip(index.publishers, col_sums, col_counts, labels) if n],
          CoverageReport(dict(zip(Label, col_covered)), dict(zip(Label, universe))))
         for col_sums, col_counts, col_covered in zip(sums, counts, covered)
     ]
+    return [results[j] for j in column.tolist()]
 
 
 def fit_stump(samples: list[tuple[float, Label]]) -> Stump:

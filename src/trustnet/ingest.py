@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
-from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +118,7 @@ class Corpus:
     one per distinct pair, in ascending (user, URL) order: ``sorted(interactions)``.
     Nothing changes a corpus once it is built, so each grouping below is derived once:
 
-    * ``index``: the links as sparse matrices (``CorpusIndex``), which the stages read;
+    * ``index``: the links as binary matrices (``CorpusIndex``), which the stages read;
     * ``interactions``: the (user_id, url, publisher) triples; ``share_events``:
       each share event's URL, sorted; ``articles``, ``publishers``: the distinct ids;
     * ``url_publisher``: URL -> its publisher.
@@ -141,8 +140,8 @@ class Corpus:
     def from_links(cls, users: Sequence[str], urls: Sequence[str], domain: Mapping[str, str],
                    shares: Mapping[str, int], skipped_urls: int = 0) -> "Corpus":
         """Links (users[k], urls[k]), repeated and in any order; per URL its publisher and shares."""
-        user_ids, url_ids, user, url = _links(users, urls)
-        return cls(user_ids, url_ids, tuple(map(domain.__getitem__, url_ids)), user, url,
+        user_ids, url_ids, a = incidence(users, urls)
+        return cls(user_ids, url_ids, tuple(map(domain.__getitem__, url_ids)), a.rows, a.cols,
                    np.array([shares[u] for u in url_ids], dtype=np.int64), skipped_urls)
 
     def link_rows(self) -> Iterator[tuple[str, str, str]]:
@@ -173,35 +172,69 @@ class Corpus:
     @cached_property
     def index(self) -> "CorpusIndex":
         publishers, codes = _ranks(self.domains)
-        n = len(publishers)
+        codes.flags.writeable = False
+        n_users, n = len(self.users), len(publishers)
         pairs = unique(self.link_user * n + codes[self.link_url])
-        a = _csr(self.link_user, self.link_url, (len(self.users), len(self.urls)))
-        b = _csr(pairs // n, pairs % n, (len(self.users), len(publishers)))
-        bt = b.T.tocsr()
-        for array in (codes, *(x for m in (a, b, bt) for x in (m.data, m.indices, m.indptr))):
-            array.flags.writeable = False
+        a = Links(self.link_user, self.link_url, (n_users, len(self.urls)))
+        b = Links(pairs // n, pairs % n, (n_users, n))
+        by_publisher = np.argsort(b.cols, kind="stable")  # (publisher, user) order
+        bt = Links(b.cols[by_publisher], b.rows[by_publisher], (n, n_users))
         return CorpusIndex(self.users, self.urls, publishers, a, codes, b, bt,
                            {u: i for i, u in enumerate(self.users)})
 
 
+@dataclass(frozen=True, eq=False)
+class Links:
+    """A binary matrix of ``shape``: 1 at each (rows[k], cols[k]), distinct and ascending.
+
+    ``rows`` and ``cols`` are read-only int64. ``links @ x`` takes a dense 1-D
+    or 2-D ``x``: exact int64 sums for a bool or integer ``x``; for a float
+    ``x``, each row's terms added in link order from +0.0, as a CSR product
+    adds them, so every bit matches.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        self.rows.flags.writeable = self.cols.flags.writeable = False
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows with a link, and the position of each one's first link."""
+        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        return self.rows[starts], starts
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x, filled, starts = np.asarray(x), *self._segments
+        exact = x.dtype.kind != "f"  # integer sums are exact in any order
+        out = np.zeros((self.shape[0], *x.shape[1:]), dtype=np.int64 if exact else np.float64)
+        if exact:
+            terms = (x.view(np.int8) if x.dtype == bool else x).take(self.cols, axis=0)
+            out[filled] = np.add.reduceat(terms, starts, dtype=np.int64)
+        elif x.ndim == 1 or x.shape[1] == 1:  # np.bincount adds each bin's terms in turn
+            out.flat = np.bincount(self.rows, x.reshape(-1).take(self.cols), minlength=len(out))
+        else:  # down axis 0 of a C-ordered block numpy adds one row at a time, not pairwise
+            for row, lo, hi in zip(filled.tolist(), starts.tolist(), [*starts[1:].tolist(), None]):
+                np.add.reduce(x.take(self.cols[lo:hi], axis=0), axis=0, out=out[row], initial=0.0)
+        return out
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
-    """A corpus's links as binary int64 CSR matrices over sorted ids, so no count wraps.
-
-    A = ``user_urls`` (users × URLs), B = ``user_publishers`` (users ×
-    publishers), Bᵀ = ``publisher_users``; ``url_publisher[j]`` is URL j's
-    column in B. Each row's column indices ascend, so a product with a dense
-    float vector adds a row's terms in ascending column order, from 0.0.
-    Every array is read-only.
+    """A corpus's links as binary ``Links`` matrices over sorted ids: A = ``user_urls``
+    (users × URLs), B = ``user_publishers`` (users × publishers), Bᵀ = ``publisher_users``;
+    ``url_publisher[j]`` is URL j's column in B. Every array is read-only.
     """
 
     users: tuple[str, ...]
     urls: tuple[str, ...]
     publishers: tuple[str, ...]
-    user_urls: sparse.csr_matrix
+    user_urls: Links
     url_publisher: np.ndarray
-    user_publishers: sparse.csr_matrix
-    publisher_users: sparse.csr_matrix
+    user_publishers: Links
+    publisher_users: Links
     user_row: dict[str, int]
 
 
@@ -216,23 +249,12 @@ def _take(ids: Sequence[str], codes: np.ndarray) -> list[str]:
     return np.array(ids, dtype=object)[codes].tolist()
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
-    return sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
-
-
-def _links(rows: Sequence[str], cols: Sequence[str]):
-    """Sorted row and column ids, and the distinct (rows[k], cols[k]) as ascending rank pairs."""
-    row_ids, i = _ranks(rows)
-    col_ids, j = _ranks(cols)
-    n = len(col_ids)
-    pairs = unique(i * n + j)
-    return row_ids, col_ids, pairs // n, pairs % n
-
-
-def incidence(rows: Sequence[str], cols: Sequence[str]) -> tuple[tuple, tuple, sparse.csr_matrix]:
-    """Sorted row ids, sorted column ids and the binary int64 CSR of the distinct pairs."""
-    row_ids, col_ids, i, j = _links(rows, cols)
-    return row_ids, col_ids, _csr(i, j, (len(row_ids), len(col_ids)))
+def incidence(rows: Sequence[str], cols: Sequence[str]) -> tuple[tuple, tuple, Links]:
+    """Sorted row ids, sorted column ids and the ``Links`` of the distinct (rows[k], cols[k])."""
+    (row_ids, i), (col_ids, j) = _ranks(rows), _ranks(cols)
+    pairs = unique(i * len(col_ids) + j)
+    return row_ids, col_ids, Links(pairs // len(col_ids), pairs % len(col_ids),
+                                   (len(row_ids), len(col_ids)))
 
 
 def unique(keys: np.ndarray) -> np.ndarray:

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .ingest import Corpus, KnowledgeBase, Label, fold_sum
+from .ingest import Corpus, KnowledgeBase, Label, fold_sum, unique
 from .projection import ValidatedNetwork
 
 UNCLUSTERED = -1
@@ -311,16 +310,17 @@ def _label_share(urls: Collection[str], corpus: Corpus, kb: KnowledgeBase, level
 def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
     """Per-community engagement statistics, largest user base first.
 
-    With M the URL × community membership, a community's users are its column's
-    nonzeros in ``corpus.index.user_urls``·M, and its shares ``corpus.shares``·M.
+    A community's users are the distinct (user, community) keys of its URLs'
+    links, and its shares the sum of its URLs' ``corpus.shares``.
     """
     ids = partition.community_ids()
-    column = {c: k for k, c in enumerate(ids)}  # one more column takes every other URL
-    cols = [column.get(partition.assignment.get(url), len(ids)) for url in corpus.urls]
-    member = sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (range(len(cols)), cols)),
-                               shape=(len(cols), len(ids) + 1))
-    n_users = (corpus.index.user_urls @ member).getnnz(axis=0).tolist()
-    n_shares = (member.T @ corpus.shares).tolist()
+    n = len(ids) + 1  # one more column takes every other URL
+    column = {c: k for k, c in enumerate(ids)}
+    cols = np.array([column.get(partition.assignment.get(url), n - 1) for url in corpus.urls],
+                    dtype=np.int64)
+    users = unique(corpus.link_user * n + cols[corpus.link_url]) % n
+    n_users = np.bincount(users, minlength=n).tolist()
+    n_shares = np.bincount(cols, corpus.shares, minlength=n).astype(np.int64).tolist()
     rows = [
         NecRow(
             community=c,

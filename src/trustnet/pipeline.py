@@ -31,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -155,10 +155,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path: Path) -> list[list[str]]:
-    """The rows of a CSV written by ``write_csv``, header dropped."""
+def read_csv(path: Path) -> Iterator[list[str]]:
+    """The rows of a CSV written by ``write_csv``, header dropped, read as they are iterated."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))[1:]
+        rows = csv.reader(fh)
+        next(rows, None)
+        yield from rows
 
 
 def write_json(path: Path, obj) -> None:
@@ -210,7 +212,11 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
 
 def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
     """The ingest stage's corpus, read back from ``interactions.csv`` and ``shares.csv``."""
-    users, urls, domains = zip(*read_csv(stage_dir / "interactions.csv"))
+    users, urls, domains = [], [], []
+    for user, url, domain in read_csv(stage_dir / "interactions.csv"):  # one pass, no transpose
+        users.append(user)
+        urls.append(url)
+        domains.append(domain)
     shares = {url: int(n) for url, n in read_csv(stage_dir / "shares.csv")}
     return Corpus.from_links(users, urls, dict(zip(urls, domains)), shares,
                              int(meta["n_skipped_urls"]))

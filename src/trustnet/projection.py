@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .bicm import BicmModel, BipartiteGraph
 
 #: a truncated pmf may drop at most this fraction of the smallest tail read from it
 TRUNCATION = 1e-16
-#: most cells (counts x class pairs) of one class-pmf row group
+#: most cells of a work block: counts x class pairs of a pmf row group, or co-occurrence meetings
 CELLS = 1 << 15
 
 
@@ -80,8 +79,8 @@ class ValidatedNetwork:
 
     @cached_property
     def url_mask(self) -> np.ndarray:
-        """Read-only int64 over ``urls``: 1 on each validated URL, else 0."""
-        mask = np.array([url in self.validated_urls for url in self.urls], dtype=np.int64)
+        """Read-only bool over ``urls``: set on each validated URL."""
+        mask = np.array([url in self.validated_urls for url in self.urls], dtype=bool)
         mask.flags.writeable = False
         return mask
 
@@ -93,14 +92,30 @@ class ValidatedNetwork:
 def cooccurrences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common users of every URL column pair that has any.
 
-    Returns (url_a, url_b, observed) with url_a < url_b, ascending by (url_a, url_b):
-    the product's own COO columns: scipy's index dtype (int32 while it fits), int32 counts.
+    Link (u, a) meets each later link (u, b) of its user's row, so a < b. The
+    links are walked URL-major in blocks of at most ``CELLS`` meetings, cut
+    between URLs (a URL with more fills a block alone), and ``np.unique``
+    counts each block's a·n + b keys. Returns int32 (url_a, url_b, observed),
+    ascending by (url_a, url_b).
     """
-    adj = graph.biadjacency.astype(np.int32)
-    overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
-    overlap.sort_indices()
-    pairs = overlap.tocoo()
-    return pairs.row, pairs.col, pairs.data
+    adj, n = graph.biadjacency, graph.n_urls
+    later = np.cumsum(graph.user_degrees)[adj.rows] - np.arange(1, adj.rows.size + 1)  # meetings
+    order = np.argsort(adj.cols, kind="stable")  # URL-major, users ascending
+    first = np.concatenate(([0], np.cumsum(graph.url_degrees)))  # URL j's links in ``order``
+    reach = np.concatenate(([0], np.cumsum(later[order])))[first]  # meetings before URL j
+    columns, j = [[np.empty(0, dtype=np.int32)] for _ in range(3)], 0
+    while j < n:
+        stop = max(int(np.searchsorted(reach, reach[j] + CELLS, side="right")) - 1, j + 1)
+        links = order[first[j]:first[stop]]
+        meets = later[links]
+        met = np.repeat(links + 1 - np.cumsum(meets) + meets, meets) + np.arange(meets.sum())
+        keys, counts = np.unique(np.repeat(adj.cols[links] * n, meets) + adj.cols[met],
+                                 return_counts=True)
+        for column, part in zip(columns, (keys // n, keys % n, counts)):
+            column.append(part.astype(np.int32))
+        j = stop
+    # joined a column at a time, so each column's blocks are freed before the next is joined
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
 
 
 def _binomial_pmfs(n: int, q: np.ndarray, width: int) -> np.ndarray:

@@ -65,19 +65,21 @@ def build_voter_profiles(
     that feed a value (the validated ones for DS-URL-NEC, else all),
     ``n_articles`` is A·m and the value (A·s)/(A·k): k marks m's scored URLs,
     s holds their int KB scores, so each distinct article counts once, an
-    unclassified one on neither side, and the sums are exact.
+    unclassified one on neither side, and the sums are exact integers. The
+    diet is the user's link count in B, the user × publisher matrix.
     """
     index, a = corpus.index, corpus.index.user_urls
     supporter = _supporters(corpus, validated)
     in_val = validated.url_mask
     used = in_val if strategy is StrategyKind.DS_URL_NEC else np.ones_like(in_val)
     score = np.array([kb.score(p) for p in index.publishers], dtype=float)[index.url_publisher]
-    scored = used * ~np.isnan(score)
-    n_articles, total, n_scored = a @ used, a @ np.where(scored, score, 0.0), a @ scored
+    scored = used & ~np.isnan(score)
+    s = np.where(scored, score, 0.0).astype(np.int64)
+    n_articles, total, n_scored = ((a @ v).tolist() for v in (used, s, scored))
+    diet = np.bincount(index.user_publishers.rows, minlength=len(index.users))
     voter = {StrategyKind.USERS_ALL: np.ones_like(supporter),
              StrategyKind.DS_ALL_WO_USR_NEC: ~supporter}.get(strategy, supporter)
-    rows = zip(index.users, voter.tolist(), n_articles.tolist(), total.tolist(),
-               n_scored.tolist(), np.diff(index.user_publishers.indptr).tolist())
+    rows = zip(index.users, voter.tolist(), n_articles, total, n_scored, diet.tolist())
     return [VoterProfile(u, n, t / k if k else None, d)
             for u, keep, n, t, k, d in rows if keep and n]
 

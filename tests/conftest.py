@@ -3,6 +3,15 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
+
+def dense(links) -> np.ndarray:
+    """The int64 0/1 matrix that a ``Links`` stands for."""
+    matrix = np.zeros(links.shape, dtype=np.int64)
+    matrix[links.rows, links.cols] = 1
+    return matrix
+
 
 def traced_peak(fn, *args):
     """``fn(*args)`` and the peak of the bytes tracemalloc traced while it ran."""

@@ -1,4 +1,4 @@
-"""The sparse corpus index against the set-based path it replaced.
+"""The corpus index and its link products against the set-based path they replaced.
 
 ``profiles_oracle``, ``publisher_scores_oracle``, ``coverage_oracle`` and
 ``sweep_oracle`` copy the dict-of-frozensets implementations of voter
@@ -41,6 +41,7 @@ from trustnet.voters import (
     characterize,
 )
 
+from conftest import dense
 from test_voters import _mean_score, article_set, select_voters, user_publishers
 
 
@@ -158,11 +159,12 @@ def corpus_arrays(corpus):
     index = corpus.index
     arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
     matrices = (index.user_urls, index.user_publishers, index.publisher_users)
-    assert all(a.dtype == np.int64 for a in arrays + tuple(m.data for m in matrices))
+    links = tuple(a for m in matrices for a in (m.rows, m.cols))
+    assert all(a.dtype == np.int64 for a in arrays + links)
     return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
              index.users, index.urls, index.publishers, index.user_row]
             + [a.tolist() for a in arrays]
-            + [(m.shape, m.data.tolist(), m.indices.tolist(), m.indptr.tolist()) for m in matrices])
+            + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
 
 
 def reloaded(corpus):
@@ -271,10 +273,11 @@ class TestIndex:
         assert index.url_publisher.tolist() == [0, 1]
         assert index.user_row == {"a": 0, "b": 1}
         for m in (index.user_urls, index.user_publishers, index.publisher_users):
-            assert m.dtype == np.int64 and m.has_sorted_indices
-            assert set(m.data.tolist()) == {1}
-        assert index.user_urls.toarray().tolist() == [[1, 0], [1, 1]]
-        assert (index.publisher_users.toarray() == index.user_publishers.toarray().T).all()
+            assert m.rows.dtype == m.cols.dtype == np.int64
+            keys = m.rows * m.shape[1] + m.cols  # distinct links, ascending by (row, column)
+            assert (np.diff(keys) > 0).all()
+        assert dense(index.user_urls).tolist() == [[1, 0], [1, 1]]
+        assert (dense(index.publisher_users) == dense(index.user_publishers).T).all()
         assert bicm.build_graph(corpus).biadjacency is index.user_urls
 
     def test_counts_past_int8_are_exact(self):

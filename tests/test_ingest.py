@@ -527,7 +527,7 @@ class TestCorpusGroupings:
         index = corpus.index
 
         def rows(matrix, ids):
-            return {user: {ids[j] for j in matrix[i].indices.tolist()}
+            return {user: {ids[j] for j in matrix.cols[matrix.rows == i].tolist()}
                     for i, user in enumerate(index.users)}
 
         assert rows(index.user_urls, index.urls) == by_user_urls
@@ -544,7 +544,7 @@ class TestCorpusGroupings:
         index = corpus.index
         arrays = [corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher] + [
             array for m in (index.user_urls, index.user_publishers, index.publisher_users)
-            for array in (m.data, m.indices, m.indptr)]
+            for array in (m.rows, m.cols)]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
@@ -724,11 +724,12 @@ def corpus_arrays(corpus):
     index = corpus.index
     arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
     matrices = (index.user_urls, index.user_publishers, index.publisher_users)
-    assert all(a.dtype == np.int64 for a in arrays + tuple(m.data for m in matrices))
+    links = tuple(a for m in matrices for a in (m.rows, m.cols))
+    assert all(a.dtype == np.int64 for a in arrays + links)
     return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
              index.users, index.urls, index.publishers, index.user_row]
             + [a.tolist() for a in arrays]
-            + [(m.shape, m.data.tolist(), m.indices.tolist(), m.indptr.tolist()) for m in matrices])
+            + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
 
 
 def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:

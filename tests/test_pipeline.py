@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import tree_digest
+from test_ingest import corpus_arrays
 from trustnet import pipeline
 from trustnet.ingest import Label
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
@@ -256,6 +257,14 @@ class TestDeterminism:
             rerun = run_pipeline(config)
         assert "ingest: reusing cached artifacts" in caplog.messages
         assert rerun.corpus.skipped_urls == 1
+
+    def test_cv_seed_rerun_reloads_the_fresh_corpus(self, inputs, tmp_path, caplog):
+        config = make_config(inputs, tmp_path, theta_max=2)
+        fresh = run_pipeline(config).corpus
+        with caplog.at_level(logging.INFO):
+            reloaded = run_pipeline(dataclasses.replace(config, cv_seed=1)).corpus
+        assert "ingest: reusing cached artifacts" in caplog.messages
+        assert corpus_arrays(reloaded) == corpus_arrays(fresh)
 
     def test_louvain_seed_rerun_counts_shares_from_the_reused_ingest(self, inputs, tmp_path,
                                                                      caplog):

@@ -11,7 +11,13 @@ from trustnet import bicm, projection
 from trustnet.ingest import RawPost, build_corpus, load_posts
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-from conftest import traced_peak
+from conftest import dense, traced_peak
+
+
+def csr(links, dtype=np.int64):
+    """scipy's CSR matrix of a ``Links``, the oracle for its products."""
+    data = np.ones(links.rows.size, dtype=dtype)
+    return sparse.csr_matrix((data, (links.rows, links.cols)), shape=links.shape)
 
 
 def tail_by_enumeration(probs, k):
@@ -261,7 +267,7 @@ class TestCooccurrences:
         )
         columns = projection.cooccurrences(g)
         assert [c.tolist() for c in columns] == [[0], [1], [2]]
-        assert all(c.dtype == np.int32 for c in columns)  # scipy's index dtype at this size
+        assert all(c.dtype == np.int32 for c in columns)  # as the CSR product's columns were
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -271,16 +277,51 @@ class TestCooccurrences:
             if not links:
                 continue
             g = bicm.BipartiteGraph.from_links(links)
-            dense = g.biadjacency.toarray()
+            matrix = dense(g.biadjacency)
             expected = {}
             for a in range(g.n_urls):
                 for b in range(a + 1, g.n_urls):
-                    c = int(np.sum(dense[:, a] & dense[:, b]))
+                    c = int(np.sum(matrix[:, a] & matrix[:, b]))
                     if c:
                         expected[(a, b)] = c
             got = counts_of(g)
             assert got == expected
             assert list(got) == sorted(expected)
+
+    @staticmethod
+    def assert_matches_the_csr_product(g):
+        adj = csr(g.biadjacency, np.int32)
+        overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
+        overlap.sort_indices()
+        pairs = overlap.tocoo()
+        for got, want in zip(projection.cooccurrences(g), (pairs.row, pairs.col, pairs.data)):
+            assert got.dtype == np.int32 and got.tolist() == want.tolist()
+
+    def test_a_url_past_cells_and_a_heavy_user_match_the_csr_product(self):
+        rng = np.random.default_rng(3)
+        adj = rng.random((300, 400)) < 0.1
+        adj[:, 0] = True
+        adj[:, 1:120] |= rng.random((300, 119)) < 0.95  # URL 0's links meet > CELLS later links
+        adj[7] = True  # one user shares every URL
+        g = graph_of(adj)
+        later = adj[:, 1:].sum(axis=1)
+        assert later.sum() > projection.CELLS
+        self.assert_matches_the_csr_product(g)
+
+    def test_no_cooccurring_pair_gives_empty_int32_columns(self):
+        g = graph_of(np.eye(6, dtype=bool))
+        columns = projection.cooccurrences(g)
+        assert [(c.dtype, c.size) for c in columns] == [(np.int32, 0)] * 3
+        self.assert_matches_the_csr_product(g)
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    def test_blocks_of_any_size_match_the_csr_product(self, cells):
+        rng = np.random.default_rng(cells)
+        with mock.patch.object(projection, "CELLS", cells):
+            for _ in range(30):
+                adj = rng.random(tuple(rng.integers(1, 14, 2))) < rng.random()
+                if adj.any():
+                    self.assert_matches_the_csr_product(graph_of(adj))
 
 
 class TestPairPvalue:
@@ -348,7 +389,7 @@ def expanded_tails_agree(graph, model):
 
 def pair_tests_oracle(graph, model):
     """``pair_pvalues`` built through a pair dict and one ``PairTest`` per pair."""
-    adj = graph.biadjacency.astype(np.int32)
+    adj = csr(graph.biadjacency, np.int32)
     overlap = sparse.triu(adj.T @ adj, k=1).tocsr()
     overlap.sort_indices()
     pairs = overlap.tocoo()

@@ -48,7 +48,9 @@ def test_zero_cross_block_sharing_gives_two_components(tmp_path):
     for user, _, publisher in corpus.interactions:
         assert pool(publisher) == (0 if int(user[1:]) < spec.users_per_block else 1)
     graph = bicm.build_graph(corpus)
-    b = graph.biadjacency.astype(np.int8)
+    links = graph.biadjacency
+    b = csr_matrix((np.ones(links.rows.size, dtype=np.int8), (links.rows, links.cols)),
+                   shape=links.shape)
     n, m = b.shape
     full = bmat(
         [[csr_matrix((n, n), dtype=np.int8), b], [b.T, csr_matrix((m, m), dtype=np.int8)]]
