@@ -14,12 +14,10 @@ import json
 import logging
 import operator
 import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, reduce
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -51,41 +49,23 @@ class RawPost(NamedTuple):
     kind: str
 
 
-class PostTable(Sequence[RawPost]):
-    """Posts as columns; indexing and iteration build each ``RawPost`` on demand.
+@dataclass(frozen=True)
+class ShareTable:
+    """What ``Corpus.from_links`` needs of the kept posts; ``len`` is the number kept.
 
-    Post i's raw URLs are ``urls[offsets[i]:offsets[i + 1]]`` and its kind
-    ``POST_KINDS[kinds[i]]``. Equal user ids and raw URLs share one string.
+    ``users[k]`` and ``urls[k]`` are share event k's user and canonical URL, one
+    shared string per distinct value; ``domain`` maps each canonical URL to its
+    publisher, and ``skipped`` counts the URLs that had no host.
     """
 
-    def __init__(self, posts: Iterable[RawPost] = ()):
-        self.post_ids, self.user_ids, self.urls = [], [], []
-        self.offsets, self.timestamps, self.kinds = array("q", [0]), array("d"), bytearray()
-        self += posts
-
-    def append(self, post_id: str, user_id: str, timestamp: float, urls: Iterable[str], kind: str):
-        """Add one post; one that fails (a kind outside ``POST_KINDS``, say) adds nothing."""
-        code, user_id, urls = POST_KINDS.index(kind), sys.intern(user_id), [*map(sys.intern, urls)]
-        self.timestamps.append(timestamp)  # the last call that can fail
-        self.post_ids.append(post_id)
-        self.user_ids.append(user_id)
-        self.urls += urls
-        self.offsets.append(len(self.urls))
-        self.kinds.append(code)
-
-    def __iadd__(self, posts: Iterable[RawPost]) -> "PostTable":
-        for post in posts:
-            self.append(*post)
-        return self
+    users: list[str]
+    urls: list[str]
+    domain: dict[str, str]
+    skipped: int
+    n_posts: int
 
     def __len__(self) -> int:
-        return len(self.post_ids)
-
-    def __getitem__(self, i: int) -> RawPost:
-        i = range(len(self))[i]  # negative indices and IndexError as on a list
-        urls = tuple(self.urls[self.offsets[i]:self.offsets[i + 1]])
-        return RawPost(self.post_ids[i], self.user_ids[i], self.timestamps[i], urls,
-                       POST_KINDS[self.kinds[i]])
+        return self.n_posts
 
 
 class KnowledgeBaseError(ValueError):
@@ -326,20 +306,17 @@ def canonical_url(url: str) -> str | None:
     return parts[0] if parts else None
 
 
-def load_posts(path: str | Path) -> tuple[PostTable, int]:
-    """Read a JSON Lines posts file; a leading UTF-8 byte-order mark is skipped.
-
-    Returns (``PostTable``, n_malformed). Malformed lines (bytes that are not UTF-8,
-    bad JSON or JSON too long or too deep to parse, missing or mistyped
-    fields, a timestamp beyond float range, a lone surrogate in an id or URL,
-    a carriage return in a user_id, duplicate post_id) are skipped and
-    counted: each is logged at DEBUG, their count once per file at WARNING.
-    Each stripped line is decoded once; text after its JSON value makes it
-    unparseable, as ``json.loads`` would. An unreadable file raises OSError.
+def _records(path: str | Path, malformed: list[int]) -> Iterator[dict]:
+    """Each well-formed post of a JSON Lines file as its decoded object, in file order; the
+    one line validator. A leading UTF-8 byte-order mark is skipped. Malformed lines (bytes
+    that are not UTF-8, bad JSON or JSON too long or too deep to parse, missing or mistyped
+    fields, a timestamp beyond float range, a lone surrogate in an id or URL, a carriage
+    return in a user_id, duplicate post_id) are skipped and added to ``malformed[0]``: each
+    is logged at DEBUG, their count once per file at WARNING. Each stripped line is decoded
+    once; text after its JSON value makes it unparseable, as ``json.loads`` would. An
+    unreadable file raises OSError.
     """
-    posts = PostTable()
     seen_ids: set[str] = set()
-    malformed = 0
     decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -353,7 +330,7 @@ def load_posts(path: str | Path) -> tuple[PostTable, int]:
             except (ValueError, RecursionError):  # UnicodeEncodeError, JSONDecodeError among them
                 end = -1
             if end != len(line):
-                malformed += 1
+                malformed[0] += 1
                 log.debug("%s:%d: unparseable record skipped", path, lineno)
                 continue
             if not isinstance(obj, dict):
@@ -366,64 +343,85 @@ def load_posts(path: str | Path) -> tuple[PostTable, int]:
                     or not isinstance(urls, list) or not all(isinstance(u, str) for u in urls)
                     or kind not in POST_KINDS
                     or post_id in seen_ids):
-                malformed += 1
+                malformed[0] += 1
                 log.debug("%s:%d: malformed or duplicate record skipped", path, lineno)
                 continue
             try:
-                stamp = float(timestamp)  # an int beyond float range overflows
+                float(timestamp)  # an int beyond float range overflows
                 if "\\u" in line:  # an escape may decode to a surrogate, which no CSV holds
                     "".join((post_id, user_id, *urls)).encode("utf-8")
             except (OverflowError, UnicodeEncodeError):
-                malformed += 1
+                malformed[0] += 1
                 log.debug("%s:%d: out-of-range timestamp or lone surrogate skipped", path, lineno)
                 continue
             seen_ids.add(post_id)
-            posts.append(post_id, user_id, stamp, urls, kind)
-    if malformed:
-        log.warning("%s: skipped %d malformed records", path, malformed)
-    return posts, malformed
+            yield obj
+    if malformed[0]:
+        log.warning("%s: skipped %d malformed records", path, malformed[0])
 
 
-def build_corpus(posts: Iterable[RawPost]) -> Corpus:
-    """Assemble the interaction corpus from parsed posts.
+def read_posts(path: str | Path) -> Iterator[RawPost]:
+    """The posts ``load_posts`` keeps, as ``RawPost``s in file order."""
+    for obj in _records(path, [0]):
+        yield RawPost(obj["post_id"], obj["user_id"], float(obj["timestamp"]),
+                      tuple(obj["urls"]), obj["kind"])
+
+
+def _share_table(posts: Iterable[Mapping]) -> ShareTable:
+    """The per-post body of every ingest: a share event per canonical URL of each post whose
+    kind enters the corpus. A raw URL is cut at its ``_split_key``; each key is cut once
+    (``_host_prefix``) and each host prefix split once (``_url_parts``)."""
+    users, urls, domain = [], [], {}
+    skipped = n_posts = 0
+    split = cache(_url_parts)
+
+    @cache
+    def cut(key: str) -> str | None:
+        prefix, path = _host_prefix(key)
+        parts = split(prefix)
+        if parts is None:
+            return None
+        url = sys.intern(parts[0] + path)  # one string per article
+        domain[url] = parts[1]
+        return url
+
+    for post in posts:
+        n_posts += 1
+        if post["kind"] not in DEFAULT_INCLUDE_KINDS:
+            continue
+        user, seen = sys.intern(post["user_id"]), set()  # seen: canonical URLs of this post
+        for raw in post["urls"]:
+            url = cut(_split_key(raw))
+            if url is None:
+                skipped += 1
+            elif url not in seen:
+                seen.add(url)
+                users.append(user)
+                urls.append(url)
+    return ShareTable(users, urls, domain, skipped, n_posts)
+
+
+def load_posts(path: str | Path) -> tuple[ShareTable, int]:
+    """(``ShareTable`` of a JSON Lines posts file, n_malformed), in one pass over its lines
+    (``_records``): no post id or raw URL outlives the call."""
+    malformed = [0]
+    table = _share_table(_records(path, malformed))
+    return table, malformed[0]
+
+
+def build_corpus(posts: ShareTable | Iterable[RawPost]) -> Corpus:
+    """Assemble the interaction corpus from ``load_posts``' table or from ``RawPost``s.
 
     Interactions are deduplicated on (user, url); share events keep post
     multiplicity, one event per post and canonical URL. Only posts of a kind
     in ``DEFAULT_INCLUDE_KINDS`` contribute.
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
-    Each raw URL is cut once (``_split_key``, ``_host_prefix``) and each host prefix split once.
-    Each share event adds its user and URL to two lists that ``Corpus.from_links`` ranks once.
-    The loop walks a ``PostTable``'s columns; other posts are packed into one first.
+    ``RawPost``s go through ``_share_table`` first, as ``load_posts``' lines do.
     """
-    table = posts if isinstance(posts, PostTable) else PostTable(posts)
-    users: list[str] = []  # per share event
-    urls: list[str] = []
-    domain: dict[str, str] = {}  # canonical URL -> publisher
-    skipped = 0
-    split = cache(_url_parts)  # one split per host prefix
-
-    @cache
-    def url_parts(raw: str) -> tuple[str, str] | None:  # one cut per distinct raw URL
-        prefix, path = _host_prefix(_split_key(raw))
-        parts = split(prefix)
-        return parts and (sys.intern(parts[0] + path), parts[1])  # one string per article
-
-    ends = islice(table.offsets, 1, None)
-    for user, start, end, kind in zip(table.user_ids, table.offsets, ends, table.kinds):
-        if POST_KINDS[kind] not in DEFAULT_INCLUDE_KINDS:
-            continue
-        seen: set[str] = set()  # canonical URLs of this post
-        for raw_url in table.urls[start:end]:
-            parts = url_parts(raw_url)
-            if parts is None:
-                skipped += 1
-            elif parts[0] not in seen:
-                url, host = parts
-                seen.add(url)
-                users.append(user)
-                urls.append(url)
-                domain[url] = host
-    return Corpus.from_links(users, urls, domain, Counter(urls), skipped)
+    if not isinstance(posts, ShareTable):
+        posts = _share_table(post._asdict() for post in posts)
+    return Corpus.from_links(posts.users, posts.urls, posts.domain, Counter(posts.urls),
+                             posts.skipped)
 
 
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:

@@ -189,7 +189,8 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     if cached is not None:
         return (load_corpus(stage_dir, cached), kb), cached
     posts, malformed = load_posts(config.posts)
-    corpus = build_corpus(posts)
+    corpus, n_posts = build_corpus(posts), len(posts)
+    del posts  # the share events, held no longer than the corpus needs them
     if not corpus.link_url.size:
         raise ValueError("corpus is empty after ingest")
     write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"], corpus.link_rows())
@@ -198,7 +199,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
               [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
     labels = Counter(kb.label(p) for p in corpus.publishers)
     return (corpus, kb), {
-        "n_posts": len(posts),
+        "n_posts": n_posts,
         "n_malformed": malformed,
         "n_skipped_urls": corpus.skipped_urls,
         "n_users": len(corpus.users),

@@ -34,18 +34,18 @@ class VoterProfile:
     diet: int
 
 
-def _supporters(corpus: Corpus, validated: ValidatedNetwork) -> np.ndarray:
-    """The discussion supporters as a mask over ``corpus.index.users``: A·m > 0, with A
-    the user × URL matrix and m the network's ``url_mask``."""
+def _validated_shares(corpus: Corpus, validated: ValidatedNetwork) -> np.ndarray:
+    """A·m over ``corpus.index.users``: each user's validated URLs, with A the user × URL
+    matrix and m the network's ``url_mask``; the users with any are the discussion supporters."""
     if validated.urls != corpus.index.urls:
         raise ValueError("the validated network's URLs are not the corpus's URLs in its order")
-    return corpus.index.user_urls @ validated.url_mask > 0
+    return corpus.index.user_urls @ validated.url_mask
 
 
 def discussion_supporters(corpus: Corpus, validated: ValidatedNetwork) -> set[str]:
     """Users who shared a URL of the validated network."""
     users = corpus.index.users
-    return {users[i] for i in np.flatnonzero(_supporters(corpus, validated)).tolist()}
+    return {users[i] for i in np.flatnonzero(_validated_shares(corpus, validated)).tolist()}
 
 
 def build_voter_profiles(
@@ -69,14 +69,15 @@ def build_voter_profiles(
     diet is the user's link count in B, the user × publisher matrix.
     """
     index, a = corpus.index, corpus.index.user_urls
-    supporter = _supporters(corpus, validated)
-    in_val = validated.url_mask
-    used = in_val if strategy is StrategyKind.DS_URL_NEC else np.ones_like(in_val)
+    n_validated, nec = _validated_shares(corpus, validated), strategy is StrategyKind.DS_URL_NEC
+    used = validated.url_mask if nec else np.ones_like(validated.url_mask)
+    n_articles = n_validated if nec else np.bincount(a.rows, minlength=a.shape[0])  # A·m or A·1
     score = np.array([kb.score(p) for p in index.publishers], dtype=float)[index.url_publisher]
     scored = used & ~np.isnan(score)
     s = np.where(scored, score, 0.0).astype(np.int64)
-    n_articles, total, n_scored = ((a @ v).tolist() for v in (used, s, scored))
+    n_articles, total, n_scored = n_articles.tolist(), (a @ s).tolist(), (a @ scored).tolist()
     diet = np.bincount(index.user_publishers.rows, minlength=len(index.users))
+    supporter = n_validated > 0
     voter = {StrategyKind.USERS_ALL: np.ones_like(supporter),
              StrategyKind.DS_ALL_WO_USR_NEC: ~supporter}.get(strategy, supporter)
     rows = zip(index.users, voter.tolist(), n_articles, total, n_scored, diet.tolist())

@@ -24,6 +24,36 @@ def traced_peak(fn, *args):
     return result, peak
 
 
+def write_spelled(src: Path, dst: Path, every: int = 40) -> int:
+    """``src``'s posts with each URL in one of four spellings of its article, and after
+    every ``every``-th line a malformed one (cut short or a repeated post id).
+
+    Every spelling keeps the scheme and path, and varies ``www.``, case, port,
+    query and fragment, so ingest reads the same corpus. Returns the malformed count.
+    """
+    lines = Path(src).read_text(encoding="utf-8").splitlines()
+    out, malformed = [], 0
+    for i, line in enumerate(lines):
+        post = json.loads(line)
+        post["urls"] = [_spelling(url, i + k) for k, url in enumerate(post["urls"])]
+        out.append(json.dumps(post, sort_keys=True))
+        if i % every == every - 1:
+            out.append(out[-1] if i // every % 2 else out[-1][: len(out[-1]) // 2])
+            malformed += 1
+    Path(dst).write_text("\n".join(out) + "\n", encoding="utf-8")
+    return malformed
+
+
+def _spelling(url: str, i: int) -> str:
+    scheme, _, rest = url.partition("://")
+    host, slash, path = rest.partition("/")
+    path = slash + path
+    return (f"{scheme}://{host}{path}",
+            f"{scheme}://www.{host}{path}?utm_source=feed&ref={i % 1000}",
+            f"{scheme}://{host.upper()}:443{path}#c{i % 100}",
+            f"{scheme}://{host}{path}?q={i % 10}#top")[i % 4]
+
+
 def tree_digest(root: Path) -> str:
     """SHA-256 over the sorted relative paths and bytes of a file or directory.
 

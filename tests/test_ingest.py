@@ -22,19 +22,20 @@ from trustnet.ingest import (
     KnowledgeBaseError,
     Label,
     POST_KINDS,
-    PostTable,
     RawPost,
+    ShareTable,
     build_corpus,
     canonical_url,
     extract_domain,
     fold_sum,
     load_knowledge_base,
     load_posts,
+    read_posts,
 )
 from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-from conftest import traced_peak
+from conftest import traced_peak, write_spelled
 from test_voters import user_publishers, user_urls
 
 
@@ -48,6 +49,11 @@ def write_posts(path, records):
             fh.write((r if isinstance(r, str) else json.dumps(r)) + "\n")
 
 
+def posts_and_malformed(path):
+    """The posts ``load_posts`` keeps, as ``RawPost``s, and its malformed-line count."""
+    return list(read_posts(path)), load_posts(path)[1]
+
+
 class TestFoldSum:
     def test_adds_left_to_right_on_every_interpreter(self):
         # a compensated sum (the built-in sum from Python 3.12 on) gives 1.0
@@ -59,7 +65,7 @@ class TestLoadPosts:
     def test_three_valid_records(self, tmp_path):
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post(f"p{i}", "u1", ["https://a.com/x"]) for i in range(3)])
-        posts, warnings = load_posts(p)
+        posts, warnings = posts_and_malformed(p)
         assert len(posts) == 3
         assert warnings == 0
         assert [r.post_id for r in posts] == ["p0", "p1", "p2"]
@@ -76,7 +82,7 @@ class TestLoadPosts:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "posts.jsonl"
         p.write_text("")
-        posts, warnings = load_posts(p)
+        posts, warnings = posts_and_malformed(p)
         assert list(posts) == []
         assert warnings == 0
 
@@ -91,7 +97,7 @@ class TestLoadPosts:
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post("p0", "u1", [], kind="repost"),
                         {"post_id": "p1", "user_id": "u1"}])
-        posts, warnings = load_posts(p)
+        posts, warnings = posts_and_malformed(p)
         assert list(posts) == []
         assert warnings == 2
 
@@ -103,7 +109,7 @@ class TestLoadPosts:
         p = tmp_path / "posts.jsonl"
         write_posts(p, [_post(f"p{i}", "u1", ["https://a.com/x"]) for i in range(2)])
         p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
-        posts, malformed = load_posts(p)
+        posts, malformed = posts_and_malformed(p)
         assert malformed == 0
         assert [r.post_id for r in posts] == ["p0", "p1"]
 
@@ -140,15 +146,18 @@ class TestLoadPosts:
         ]
 
     def test_equal_values_share_one_string(self, tmp_path):
+        # two spellings of each a.com article, so two keys and two host prefixes per article
+        spelling = ("https://www.a.com/{}", "https://A.com:443/{}?i={}")
         p = tmp_path / "posts.jsonl"
-        write_posts(p, [_post(f"p{i}", f"u{i % 3}", [f"https://a.com/{i % 4}", "https://b.org/y"],
+        write_posts(p, [_post(f"p{i}", f"u{i % 3}", [spelling[i // 4 % 2].format(i % 4, i),
+                                                     "https://b.org/y"],
                               kind=POST_KINDS[i % 4]) for i in range(24)])
-        posts, _ = load_posts(p)
-        values = [v for post in posts for v in (post.user_id, *post.urls, post.kind)]
+        table, _ = load_posts(p)
+        values = [*table.users, *table.urls, *table.domain]
         first = {}
         assert all(first.setdefault(v, v) is v for v in values)
-        assert len(first) == 3 + 5 + 4
-        assert all(post.kind is POST_KINDS[POST_KINDS.index(post.kind)] for post in posts)
+        # 3 users; a.com/0, a.com/1, a.com/3 and b.org/y (every a.com/2 post is a quote)
+        assert len(first) == 3 + 4
 
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
@@ -337,10 +346,19 @@ class TestUrlPartsOracle:
             calls.append(url)
             return urlsplit(url, *args, **kwargs)
 
+        cuts = []
+
+        def counting_cut(key, host_prefix=ingest._host_prefix):
+            cuts.append(key)
+            return host_prefix(key)
+
         monkeypatch.setattr(ingest, "urlsplit", counting)
+        monkeypatch.setattr(ingest, "_host_prefix", counting_cut)
         posts, _ = load_posts(tmp_path / "posts.jsonl")
         corpus = build_corpus(posts)
-        # split only by build_corpus, once per host prefix: the scheme and host before the path
+        # one cut per split key, and one split per host prefix: the scheme and host before the path
+        assert sorted(cuts) == ["http://B.org:443/y", "https://www.a.com/x",
+                                "https://www.a.com/z/w", "notaurl"]
         assert sorted(calls) == ["http://B.org:443", "https://www.a.com", "notaurl"]
         assert corpus.articles == {"https://a.com/x", "https://a.com/z/w", "http://b.org/y"}
 
@@ -550,61 +568,53 @@ class TestCorpusGroupings:
                 array[0] = 7
 
 
-class TestPostTable:
-    POSTS = [RawPost("p0", "u1", 1.5, ("https://a.com/x", "https://b.org/y"), "original"),
-             RawPost("p1", "u2", 2.0, (), "quote"),
-             RawPost("p2", "u1", -3.0, ("https://a.com/x",), "reply")]
-
-    def test_indexing_behaves_as_on_a_list(self):
-        table = PostTable(self.POSTS)
-        assert len(table) == 3
-        for i in range(-3, 3):
-            assert table[i] == self.POSTS[i]
-            assert type(table[i]) is RawPost and type(table[i].urls) is tuple
-        for i in (3, -4):
-            with pytest.raises(IndexError):
-                table[i]
-        assert list(table) == self.POSTS
-        assert list(PostTable()) == [] and len(PostTable()) == 0
-
-    def test_appended_posts_follow(self):
-        table = PostTable(self.POSTS[:1])
-        table += self.POSTS[1:]
-        assert list(table) == self.POSTS
-        bad = [RawPost("p3", "u1", 0.0, ("https://c.net/z",), "repost"),
-               RawPost("p3", "u1", None, ("https://c.net/z",), "reply"),
-               RawPost("p3", 7, 0.0, ("https://c.net/z",), "reply"),
-               RawPost("p3", "u1", 0.0, ("https://c.net/z", None), "reply")]
-        for post in bad:  # a post that fails adds nothing
-            with pytest.raises((ValueError, TypeError)):
-                table += [post]
-            assert list(table) == self.POSTS
-            assert len(table.urls) == table.offsets[-1] == 3
-
-    def test_load_posts_returns_a_table(self, tmp_path):
+class TestShareTable:
+    def test_load_posts_keeps_share_events_not_posts(self, tmp_path):
         p = tmp_path / "posts.jsonl"
-        write_posts(p, [_post(f"p{i}", f"u{i % 2}", ["https://a.com/x"] * i, kind=POST_KINDS[i])
-                        for i in range(4)])
-        posts, _ = load_posts(p)
-        assert isinstance(posts, PostTable)
-        assert [len(post.urls) for post in posts] == [0, 1, 2, 3]
-        assert posts.offsets.tolist() == [0, 0, 1, 3, 6] and list(posts.kinds) == [0, 1, 2, 3]
+        write_posts(p, [_post(f"p{i}", f"u{i % 2}", ["https://a.com/x"] * i + ["notaurl"],
+                              kind=POST_KINDS[i]) for i in range(4)])
+        table, _ = load_posts(p)
+        assert isinstance(table, ShareTable) and len(table) == 4
+        # one event per post and canonical URL; the quote p2 adds none, and no post id is kept
+        assert sorted(vars(table)) == ["domain", "n_posts", "skipped", "urls", "users"]
+        assert (table.users, table.urls) == (["u1", "u1"], ["https://a.com/x"] * 2)
+        assert table.domain == {"https://a.com/x": "a.com"}
+        assert table.skipped == 3
 
-    def test_a_table_and_its_list_build_equal_corpora(self, tmp_path):
-        p = tmp_path / "posts.jsonl"
-        generate_synthetic(SyntheticSpec(30, 4, 5), p, tmp_path / "kb.csv")
-        posts, _ = load_posts(p)
-        assert corpus_arrays(build_corpus(posts)) == corpus_arrays(build_corpus(list(posts)))
-        assert corpus_arrays(build_corpus(posts)) == corpus_arrays(build_corpus(iter(posts)))
+    def test_a_table_and_its_posts_build_equal_corpora(self, tmp_path):
+        plain, spelled = tmp_path / "plain.jsonl", tmp_path / "spelled.jsonl"
+        generate_synthetic(SyntheticSpec(30, 4, 5), plain, tmp_path / "kb.csv")
+        n_malformed = write_spelled(plain, spelled)
+        table, malformed = load_posts(spelled)
+        assert malformed == n_malformed > 0
+        want = corpus_arrays(build_corpus(load_posts(plain)[0]))
+        assert corpus_arrays(build_corpus(table)) == want
+        assert corpus_arrays(build_corpus(list(read_posts(spelled)))) == want
+        assert corpus_arrays(build_corpus(read_posts(spelled))) == want
 
     def test_load_posts_peak_per_post(self, tmp_path):
         # planted scale M: one RawPost, its URL tuple and its float per post took ~265 B;
-        # the columns take ~140 B, the line decode and the seen post ids included
+        # the columns of every post ~140 B; the share events of the kept posts ~120 B
         p = tmp_path / "posts.jsonl"
         generate_synthetic(SyntheticSpec(500, 20, 15), p, tmp_path / "kb.csv")
         (posts, _), peak = traced_peak(load_posts, p)
         assert len(posts) > 15_000
         assert peak <= 180 * len(posts)
+
+    def test_ingest_peak_per_post_on_spelled_urls(self, tmp_path):
+        # planted scale M in four spellings per article, with 401 malformed lines: a table
+        # of every post and raw URL took ~353 B per post; the share events take ~136 B
+        plain, spelled = tmp_path / "plain.jsonl", tmp_path / "spelled.jsonl"
+        generate_synthetic(SyntheticSpec(500, 20, 15), plain, tmp_path / "kb.csv")
+        write_spelled(plain, spelled)
+
+        def ingest(path):
+            table, _ = load_posts(path)
+            return len(table), build_corpus(table)
+
+        (n_posts, corpus), peak = traced_peak(ingest, spelled)
+        assert corpus.link_url.size > 0 and n_posts > 15_000
+        assert peak <= 180 * n_posts
 
 
 class TestUnique:
@@ -736,18 +746,20 @@ def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
     """Both ingests of one posts file agree; the current one's (posts, malformed, corpus).
 
     They agree on the posts, the corpus, the three artifacts' bytes and the
-    meta counts, and a reload of the written stage equals the fresh corpus.
+    meta counts; ``load_posts``' table and the ``RawPost``s of ``read_posts`` build
+    equal corpora, and a reload of the written stage equals the fresh corpus.
     """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path, kb_path = tmp / "posts.jsonl", tmp / "kb.csv"
         path.write_bytes(data)
         kb_path.write_text(ORACLE_KB, encoding="utf-8")
-        posts, malformed = load_posts(path)
+        (table, malformed), posts = load_posts(path), list(read_posts(path))
         want_posts, want_malformed = load_posts_oracle(path)
         assert [tuple(p) for p in posts] == [dataclasses.astuple(p) for p in want_posts]
-        assert malformed == want_malformed
-        corpus, want = build_corpus(posts), build_corpus_oracle(want_posts)
+        assert (len(table), malformed) == (len(want_posts), want_malformed)
+        corpus, want = build_corpus(table), build_corpus_oracle(want_posts)
+        assert corpus_arrays(build_corpus(posts)) == corpus_arrays(corpus)
         assert corpus.skipped_urls == want.skipped_urls
         assert corpus.interactions == want.interactions
         assert list(corpus.link_rows()) == sorted(want.interactions)
@@ -761,6 +773,7 @@ def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
                 pipeline.stage_ingest(config, {}, stage_dir, None)
             return posts, malformed, corpus
         (_, kb), meta = pipeline.stage_ingest(config, {}, stage_dir, None)
+        assert (meta["n_posts"], meta["n_malformed"]) == (len(want_posts), want_malformed)
         for name, (header, rows) in ingest_artifacts_oracle(want, kb).items():
             pipeline.write_csv(tmp / "oracle" / name, header, rows)
             assert (stage_dir / name).read_bytes() == (tmp / "oracle" / name).read_bytes()

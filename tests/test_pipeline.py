@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tree_digest
+from conftest import tree_digest, write_spelled
 from test_ingest import corpus_arrays
 from trustnet import pipeline
 from trustnet.ingest import Label
@@ -213,7 +213,9 @@ class TestDeterminism:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_run_bytes_do_not_depend_on_the_hash_seed(self, inputs, tmp_path):
-        # str hashes, and so the order of sets of URLs, change with PYTHONHASHSEED
+        # str hashes, and so the order of sets of URLs, change with PYTHONHASHSEED;
+        # the second corpus spells each URL four ways and has malformed lines
+        write_spelled(inputs / "posts.jsonl", tmp_path / "spelled.jsonl")
         script = (
             "import sys; from trustnet.pipeline import PipelineConfig, run_pipeline; "
             "run_pipeline(PipelineConfig(posts=sys.argv[1], knowledge_base=sys.argv[2], "
@@ -221,18 +223,19 @@ class TestDeterminism:
         )
         src = str(Path(pipeline.__file__).parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        outs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
-        for seed, out in enumerate(outs):
-            subprocess.run(
-                [sys.executable, "-c", script, str(inputs / "posts.jsonl"),
-                 str(inputs / "kb.csv"), str(out)],
-                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
-                check=True, timeout=300,
-            )
-        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
-        assert files[0] == files[1] and files[0]
-        for rel in files[0]:
-            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+        for posts in (inputs / "posts.jsonl", tmp_path / "spelled.jsonl"):
+            outs = [tmp_path / posts.stem / f"seed{seed}" for seed in (0, 1)]
+            for seed, out in enumerate(outs):
+                subprocess.run(
+                    [sys.executable, "-c", script, str(posts), str(inputs / "kb.csv"), str(out)],
+                    env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                    check=True, timeout=300,
+                )
+            files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+                     for out in outs]
+            assert files[0] == files[1] and files[0]
+            for rel in files[0]:
+                assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
     def test_cached_stages_are_reused(self, inputs, tmp_path_factory, caplog):
         out = tmp_path_factory.mktemp("cache")

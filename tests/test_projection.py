@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from trustnet import bicm, projection
-from trustnet.ingest import RawPost, build_corpus, load_posts
+from trustnet.ingest import RawPost, build_corpus, load_posts, read_posts
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
 from conftest import dense, traced_peak
@@ -510,7 +510,7 @@ class TestClassReduction:
         # planted scale M, seed 0, plus one URL that every user shares: one forced link per user
         generate_synthetic(SyntheticSpec(500, 20, 15, seed=0), tmp_path / "posts.jsonl",
                            tmp_path / "kb.csv")
-        posts, _ = load_posts(tmp_path / "posts.jsonl")
+        posts = list(read_posts(tmp_path / "posts.jsonl"))
         posts += [RawPost(f"all-{u}", u, 0.0, ("https://everyone.com/story",), "original")
                   for u in sorted({p.user_id for p in posts})]
         graph = bicm.build_graph(build_corpus(posts))

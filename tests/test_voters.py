@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from trustnet import bicm, projection
+from trustnet import bicm, ingest, projection
 from trustnet.ingest import KnowledgeBase, RawPost, build_corpus, load_knowledge_base, load_posts
 from trustnet.projection import ValidatedNetwork
 from trustnet.synth import SyntheticSpec, generate_synthetic
@@ -337,3 +338,20 @@ class TestBuildProfiles:
         for v in profiles.values():
             if v.value is not None:
                 assert 0 <= v.value <= 100
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+    def test_three_products_per_call(self, strategy, monkeypatch):
+        # A·m once for the supporters and DS-URL-NEC's counts, then A·s and A·k; A·1 is a bincount
+        corpus, network = fixture_corpus()
+        kb = KnowledgeBase(scores={"x.com": 80, "y.com": 40})
+        want = build_voter_profiles(strategy, corpus, network, kb)
+        products = []
+        matmul = ingest.Links.__matmul__
+
+        def counting(links, x):
+            products.append(np.asarray(x).dtype)
+            return matmul(links, x)
+
+        monkeypatch.setattr(ingest.Links, "__matmul__", counting)
+        assert build_voter_profiles(strategy, corpus, network, kb) == want
+        assert products == [bool, np.int64, bool]
