@@ -13,13 +13,13 @@ import csv
 import json
 import logging
 import operator
-import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, reduce
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -51,16 +51,18 @@ class RawPost(NamedTuple):
 
 @dataclass(frozen=True)
 class ShareTable:
-    """What ``Corpus.from_links`` needs of the kept posts; ``len`` is the number kept.
+    """The kept posts' share events as codes; ``len`` is the number of posts kept.
 
-    ``users[k]`` and ``urls[k]`` are share event k's user and canonical URL, one
-    shared string per distinct value; ``domain`` maps each canonical URL to its
-    publisher, and ``skipped`` counts the URLs that had no host.
+    ``users`` and ``urls`` are the share events' distinct user ids and canonical URLs, first
+    seen first; URL code c's publisher is ``domains[c]``. Event k is (``event_user[k]``,
+    ``event_url[k]``) as int64 codes, and ``skipped`` counts the URLs that had no host.
     """
 
     users: list[str]
     urls: list[str]
-    domain: dict[str, str]
+    domains: list[str]
+    event_user: np.ndarray
+    event_url: np.ndarray
     skipped: int
     n_posts: int
 
@@ -117,12 +119,15 @@ class Corpus:
             array.flags.writeable = False
 
     @classmethod
-    def from_links(cls, users: Sequence[str], urls: Sequence[str], domain: Mapping[str, str],
-                   shares: Mapping[str, int], skipped_urls: int = 0) -> "Corpus":
-        """Links (users[k], urls[k]), repeated and in any order; per URL its publisher and shares."""
-        user_ids, url_ids, a = incidence(users, urls)
-        return cls(user_ids, url_ids, tuple(map(domain.__getitem__, url_ids)), a.rows, a.cols,
-                   np.array([shares[u] for u in url_ids], dtype=np.int64), skipped_urls)
+    def from_codes(cls, users: Sequence[str], urls: Sequence[str], domains: Sequence[str],
+                   user_codes, url_codes, shares, skipped_urls: int = 0) -> "Corpus":
+        """Links (users[user_codes[k]], urls[url_codes[k]]), repeated and in any order, over
+        distinct ids in any order; URL code c has publisher ``domains[c]``, ``shares[c]`` shares."""
+        (user_ids, user_rank), (url_ids, url_rank) = _ranks(users), _ranks(urls)
+        order = np.argsort(url_rank)  # the URL code of each rank
+        pairs = unique(user_rank.take(user_codes) * len(url_ids) + url_rank.take(url_codes))
+        return cls(user_ids, url_ids, tuple(_take(domains, order)), pairs // len(url_ids),
+                   pairs % len(url_ids), np.asarray(shares, dtype=np.int64)[order], skipped_urls)
 
     def link_rows(self) -> Iterator[tuple[str, str, str]]:
         """(user_id, url, publisher) per link, in link order: ``sorted(interactions)``."""
@@ -306,18 +311,19 @@ def canonical_url(url: str) -> str | None:
     return parts[0] if parts else None
 
 
-def _records(path: str | Path, malformed: list[int]) -> Iterator[dict]:
-    """Each well-formed post of a JSON Lines file as its decoded object, in file order; the
-    one line validator. A leading UTF-8 byte-order mark is skipped. Malformed lines (bytes
-    that are not UTF-8, bad JSON or JSON too long or too deep to parse, missing or mistyped
-    fields, a timestamp beyond float range, a lone surrogate in an id or URL, a carriage
-    return in a user_id, duplicate post_id) are skipped and added to ``malformed[0]``: each
-    is logged at DEBUG, their count once per file at WARNING. Each stripped line is decoded
-    once; text after its JSON value makes it unparseable, as ``json.loads`` would. An
-    unreadable file raises OSError.
+def _records(path: str | Path, malformed: list[int]) -> Iterator[tuple]:
+    """Each well-formed post of a JSON Lines file as its checked (post_id, user_id, timestamp,
+    urls, kind) tuple, in file order; the one line validator. A leading UTF-8 byte-order mark is
+    skipped. Malformed lines (bytes that are not UTF-8, bad JSON or JSON too long or too deep to
+    parse, missing or mistyped fields, a timestamp beyond float range, a lone surrogate in an id
+    or URL, a carriage return in a user_id, duplicate post_id) are skipped and added to
+    ``malformed[0]``: each is logged at DEBUG, their count once per file at WARNING. Each
+    stripped line is decoded once; text after its JSON value makes it unparseable, as
+    ``json.loads`` would. An unreadable file raises OSError.
     """
     seen_ids: set[str] = set()
     decode = json.JSONDecoder().raw_decode
+    fields = operator.itemgetter(*RawPost._fields)
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -333,72 +339,66 @@ def _records(path: str | Path, malformed: list[int]) -> Iterator[dict]:
                 malformed[0] += 1
                 log.debug("%s:%d: unparseable record skipped", path, lineno)
                 continue
-            if not isinstance(obj, dict):
-                obj = {}  # no post_id: malformed
-            post_id, user_id, timestamp, urls, kind = map(obj.get, RawPost._fields)
-            if (not isinstance(post_id, str) or not post_id
-                    or not isinstance(user_id, str) or not user_id
-                    or "\r" in user_id  # csv.writer leaves it unquoted; a reload splits there
-                    or not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool)
-                    or not isinstance(urls, list) or not all(isinstance(u, str) for u in urls)
-                    or kind not in POST_KINDS
-                    or post_id in seen_ids):
+            try:  # not an object or a field missing: KeyError or TypeError
+                post_id, user_id, timestamp, urls, kind = record = fields(obj)
+                # JSON decodes to exact built-in types only, and type(True) is bool, not int
+                if not (type(post_id) is str and post_id and type(user_id) is str and user_id
+                        and "\r" not in user_id  # csv.writer leaves it unquoted; a reload splits
+                        and type(timestamp) in (int, float) and type(urls) is list
+                        and kind in POST_KINDS and post_id not in seen_ids):
+                    raise TypeError  # a mistyped or empty field, or a duplicate post_id
+                float(timestamp)  # an int beyond float range overflows
+                text = "".join(urls)  # a URL that is not a string raises TypeError
+                if "\\u" in line:  # an escape may decode to a surrogate, which no CSV holds
+                    (post_id + user_id + text).encode("utf-8")
+            except (KeyError, TypeError, OverflowError, UnicodeEncodeError):
                 malformed[0] += 1
                 log.debug("%s:%d: malformed or duplicate record skipped", path, lineno)
                 continue
-            try:
-                float(timestamp)  # an int beyond float range overflows
-                if "\\u" in line:  # an escape may decode to a surrogate, which no CSV holds
-                    "".join((post_id, user_id, *urls)).encode("utf-8")
-            except (OverflowError, UnicodeEncodeError):
-                malformed[0] += 1
-                log.debug("%s:%d: out-of-range timestamp or lone surrogate skipped", path, lineno)
-                continue
             seen_ids.add(post_id)
-            yield obj
+            yield record
     if malformed[0]:
         log.warning("%s: skipped %d malformed records", path, malformed[0])
 
 
 def read_posts(path: str | Path) -> Iterator[RawPost]:
     """The posts ``load_posts`` keeps, as ``RawPost``s in file order."""
-    for obj in _records(path, [0]):
-        yield RawPost(obj["post_id"], obj["user_id"], float(obj["timestamp"]),
-                      tuple(obj["urls"]), obj["kind"])
+    return (RawPost(p, u, float(t), tuple(us), k) for p, u, t, us, k in _records(path, [0]))
 
 
-def _share_table(posts: Iterable[Mapping]) -> ShareTable:
-    """The per-post body of every ingest: a share event per canonical URL of each post whose
-    kind enters the corpus. A raw URL is cut at its ``_split_key``; each key is cut once
-    (``_host_prefix``) and each host prefix split once (``_url_parts``)."""
-    users, urls, domain = [], [], {}
+def _share_table(posts: Iterable[tuple]) -> ShareTable:
+    """The per-post body of every ingest, over ``_records``' tuples: a share event per canonical
+    URL of each post whose kind enters the corpus. A raw URL is cut at its ``_split_key``; each key
+    is cut once (``_host_prefix``) and each host prefix split once (``_url_parts``)."""
+    users, urls, domains = {}, {}, []
+    event_user, event_url = array("q"), array("q")
     skipped = n_posts = 0
     split = cache(_url_parts)
 
     @cache
-    def cut(key: str) -> str | None:
+    def cut(key: str) -> int | None:
         prefix, path = _host_prefix(key)
-        parts = split(prefix)
-        if parts is None:
+        if (parts := split(prefix)) is None:
             return None
-        url = sys.intern(parts[0] + path)  # one string per article
-        domain[url] = parts[1]
-        return url
+        code = urls.setdefault(parts[0] + path, len(urls))
+        if code == len(domains):  # a new canonical URL
+            domains.append(parts[1])
+        return code
 
-    for post in posts:
-        n_posts += 1
-        if post["kind"] not in DEFAULT_INCLUDE_KINDS:
+    for n_posts, (_, user, _, raw_urls, kind) in enumerate(posts, 1):
+        if kind not in DEFAULT_INCLUDE_KINDS:
             continue
-        user, seen = sys.intern(post["user_id"]), set()  # seen: canonical URLs of this post
-        for raw in post["urls"]:
+        seen = set()  # the URL codes of this post
+        for raw in raw_urls:
             url = cut(_split_key(raw))
             if url is None:
                 skipped += 1
             elif url not in seen:
                 seen.add(url)
-                users.append(user)
-                urls.append(url)
-    return ShareTable(users, urls, domain, skipped, n_posts)
+                event_user.append(users.setdefault(user, len(users)))
+                event_url.append(url)
+    events = (np.frombuffer(codes, dtype=np.int64) for codes in (event_user, event_url))
+    return ShareTable(list(users), list(urls), domains, *events, skipped, n_posts)
 
 
 def load_posts(path: str | Path) -> tuple[ShareTable, int]:
@@ -418,10 +418,9 @@ def build_corpus(posts: ShareTable | Iterable[RawPost]) -> Corpus:
     A URL without a scheme and host is skipped and counted in ``skipped_urls``.
     ``RawPost``s go through ``_share_table`` first, as ``load_posts``' lines do.
     """
-    if not isinstance(posts, ShareTable):
-        posts = _share_table(post._asdict() for post in posts)
-    return Corpus.from_links(posts.users, posts.urls, posts.domain, Counter(posts.urls),
-                             posts.skipped)
+    table = posts if isinstance(posts, ShareTable) else _share_table(posts)
+    return Corpus.from_codes(table.users, table.urls, table.domains, table.event_user,
+                             table.event_url, np.bincount(table.event_url), table.skipped)
 
 
 def load_knowledge_base(path: str | Path) -> KnowledgeBase:

@@ -31,6 +31,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -47,6 +48,7 @@ from .ingest import (
 from .voters import ALL_STRATEGIES, StrategyKind, VoterProfile
 
 log = logging.getLogger(__name__)
+LINK_BLOCK = 1 << 10  # links per block of interactions.csv lines that ``write_links`` joins
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -155,6 +157,22 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def write_links(path: Path, corpus: Corpus) -> None:
+    """``write_csv`` of ``corpus.link_rows()`` from the link codes: ``csv.writer`` formats each user
+    cell (in a row of two) and each (URL, publisher) pair once; each write is LINK_BLOCK lines."""
+    def lines(rows) -> list[str]:  # one write per row; a lone empty cell would be written '""'
+        csv.writer(SimpleNamespace(write=(out := []).append), lineterminator="\n").writerows(rows)
+        return out
+    users = np.array([line[:-1] for line in lines((u, "") for u in corpus.users)], dtype=object)
+    urls = np.array(lines(zip(corpus.urls, corpus.domains)), dtype=object)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("user_id,url,publisher\n")
+        for lo in range(0, corpus.link_url.size, LINK_BLOCK):
+            block = slice(lo, lo + LINK_BLOCK)
+            fh.write("".join(users[corpus.link_user[block]] + urls[corpus.link_url[block]]))
+
+
 def read_csv(path: Path) -> Iterator[list[str]]:
     """The rows of a CSV written by ``write_csv``, header dropped, read as they are iterated."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -193,7 +211,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     del posts  # the share events, held no longer than the corpus needs them
     if not corpus.link_url.size:
         raise ValueError("corpus is empty after ingest")
-    write_csv(stage_dir / "interactions.csv", ["user_id", "url", "publisher"], corpus.link_rows())
+    write_links(stage_dir / "interactions.csv", corpus)
     write_csv(stage_dir / "shares.csv", ["url", "n_shares"], zip(corpus.urls, corpus.shares.tolist()))
     write_csv(stage_dir / "publishers.csv", ["domain", "score", "label"],
               [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
@@ -213,14 +231,14 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
 
 def load_corpus(stage_dir: Path, meta: dict) -> Corpus:
     """The ingest stage's corpus, read back from ``interactions.csv`` and ``shares.csv``."""
-    users, urls, domains = [], [], []
+    users, urls, domains, user_codes, url_codes = {}, {}, {}, [], []
     for user, url, domain in read_csv(stage_dir / "interactions.csv"):  # one pass, no transpose
-        users.append(user)
-        urls.append(url)
-        domains.append(domain)
-    shares = {url: int(n) for url, n in read_csv(stage_dir / "shares.csv")}
-    return Corpus.from_links(users, urls, dict(zip(urls, domains)), shares,
-                             int(meta["n_skipped_urls"]))
+        user_codes.append(users.setdefault(user, len(users)))
+        url_codes.append(code := urls.setdefault(url, len(urls)))
+        domains.setdefault(code, domain)
+    shares = dict(read_csv(stage_dir / "shares.csv"))
+    return Corpus.from_codes(list(users), list(urls), list(domains.values()), user_codes, url_codes,
+                             [int(shares[url]) for url in urls], int(meta["n_skipped_urls"]))
 
 
 # ---------------------------------------------------------------------------

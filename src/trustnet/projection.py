@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .bicm import BicmModel, BipartiteGraph
+from .ingest import fold_sum
 
 #: a truncated pmf may drop at most this fraction of the smallest tail read from it
 TRUNCATION = 1e-16
@@ -171,15 +172,16 @@ def class_tails(q: np.ndarray, sizes: np.ndarray, rows: np.ndarray, ks: np.ndarr
     support = (q > 0) @ sizes
     kmax = np.zeros(q.shape[0], dtype=np.int64)
     np.maximum.at(kmax, rows, ks)
-    # first guess: past the largest count and 9 sd above the mean
-    guess = np.maximum(kmax, q @ sizes + 9.0 * np.sqrt((q * (1.0 - q)) @ sizes)) + 40
+    # first guess: past the largest count and 9 sd above the mean, classes added in order (no BLAS)
+    mean, var = (fold_sum(x * n for x, n in zip(xs.T, sizes.tolist())) for xs in (q, q * (1.0 - q)))
+    guess = np.maximum(kmax, mean + 9.0 * np.sqrt(var)) + 40
     need = np.minimum(support + 1, np.ceil(guess).astype(np.int64))
     tails = np.ones(rows.size)  # k = 0 is certain
     slot = np.full(q.shape[0], -1)  # a finished row's column in its group, else -1
     todo = np.bincount(rows, minlength=q.shape[0]) > 0
     while todo.any():
         pending = np.flatnonzero(todo)
-        bits = np.ceil(np.log2(need[pending])).astype(np.int64)
+        bits = np.frexp(need[pending] - 1.0)[1]  # ceil(log2(need)), exactly: need - 1's bit length
         batch, length = pending[bits == bits.min()], 1 << int(bits.min())
         for group in np.array_split(batch, -(-batch.size // max(CELLS // length, 1))):
             pmf = _class_pmfs(q[group], sizes, length)

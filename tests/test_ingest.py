@@ -153,11 +153,16 @@ class TestLoadPosts:
                                                      "https://b.org/y"],
                               kind=POST_KINDS[i % 4]) for i in range(24)])
         table, _ = load_posts(p)
-        values = [*table.users, *table.urls, *table.domain]
-        first = {}
-        assert all(first.setdefault(v, v) is v for v in values)
-        # 3 users; a.com/0, a.com/1, a.com/3 and b.org/y (every a.com/2 post is a quote)
-        assert len(first) == 3 + 4
+        # one string and one code per distinct value, in first-seen order: 3 users;
+        # a.com/0, b.org/y, a.com/1 and a.com/3 (every a.com/2 post is a quote)
+        assert table.users == ["u0", "u1", "u2"]
+        assert table.urls == [f"https://{a}" for a in ("a.com/0", "b.org/y", "a.com/1", "a.com/3")]
+        assert table.domains == ["a.com", "b.org", "a.com", "a.com"]
+        assert table.event_user.dtype == table.event_url.dtype == np.int64
+        events = [(table.users[u], table.urls[c])
+                  for u, c in zip(table.event_user.tolist(), table.event_url.tolist())]
+        assert events == [(f"u{i % 3}", url) for i in range(24) if i % 4 != 2
+                          for url in (f"https://a.com/{i % 4}", "https://b.org/y")]
 
     def test_unparseable_urls_reach_the_corpus_count(self, tmp_path):
         p = tmp_path / "posts.jsonl"
@@ -533,8 +538,11 @@ class TestCorpusGroupings:
             RawPost(f"p{i}", user, 0.0, tuple(urls), kind)
             for i, (user, urls, kind) in enumerate(rows)
         ]
-        corpus = build_corpus(posts)
+        corpus, table = build_corpus(posts), ingest._share_table(posts)
         triples = corpus.interactions
+        # the share events' codes name the same triples
+        assert {(table.users[u], table.urls[c], table.domains[c]) for u, c in
+                zip(table.event_user.tolist(), table.event_url.tolist())} == triples
         users = {u for u, _, _ in triples}
         assert corpus.users == tuple(sorted(users))
         assert corpus.articles == {url for _, url, _ in triples}
@@ -575,10 +583,13 @@ class TestShareTable:
                               kind=POST_KINDS[i]) for i in range(4)])
         table, _ = load_posts(p)
         assert isinstance(table, ShareTable) and len(table) == 4
-        # one event per post and canonical URL; the quote p2 adds none, and no post id is kept
-        assert sorted(vars(table)) == ["domain", "n_posts", "skipped", "urls", "users"]
-        assert (table.users, table.urls) == (["u1", "u1"], ["https://a.com/x"] * 2)
-        assert table.domain == {"https://a.com/x": "a.com"}
+        # one event per post and canonical URL; the quote p2 adds none, and no post id is
+        # kept; u0's posts add no event (p0's URL has no host, p2 is a quote): u0 gets no code
+        assert sorted(vars(table)) == [
+            "domains", "event_url", "event_user", "n_posts", "skipped", "urls", "users"]
+        assert (table.users, table.urls, table.domains) == (["u1"], ["https://a.com/x"], ["a.com"])
+        assert table.event_user.dtype == table.event_url.dtype == np.int64
+        assert (table.event_user.tolist(), table.event_url.tolist()) == ([0, 0], [0, 0])
         assert table.skipped == 3
 
     def test_a_table_and_its_posts_build_equal_corpora(self, tmp_path):
@@ -788,11 +799,14 @@ _variants = st.sampled_from([
     "https://a.com/x", "https://A.com/x#top", "https://www.a.com:443/x?utm=1", "https://a.com/x?",
     "https://a.com/\tx", "ht\ttps://a.com/x", "https://b.org/y", "HTTP://B.org/y#f",
     "notaurl", "example.com/x", "", "https://./p", "http://[bad-host/x",
+    # cells csv.writer must quote: a comma, a quote, a comma in the host, and a newline
+    # (urlsplit drops it)
+    "https://a.com/x,y", 'https://a.com/"q"', "https://c,d.net/z", "https://b.org/y\nz",
 ])
 _records = st.one_of(
     st.fixed_dictionaries({
         "post_id": st.sampled_from(["p1", "p2", "p3", "p4", "p5", 'p"q', "pé"]),
-        "user_id": st.sampled_from(["u1", "u2", 'u"3']),
+        "user_id": st.sampled_from(["u1", "u2", 'u"3', "u,4", "u\n5"]),
         "timestamp": st.sampled_from([1000, 1.5]),
         "urls": st.lists(st.one_of(_variants, _url), max_size=4),
         "kind": st.sampled_from(POST_KINDS),

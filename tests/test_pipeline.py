@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tree_digest, write_spelled
+from conftest import traced_peak, tree_digest, write_spelled
 from test_ingest import corpus_arrays
 from trustnet import pipeline
-from trustnet.ingest import Label
+from trustnet.ingest import Corpus, Label, build_corpus, load_posts
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
@@ -649,6 +649,39 @@ def test_write_csv_cells_match_explicit_formatting(tmp_path):
         for r in rows:
             writer.writerow([_fmt(v) for v in r])
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def write_link_rows(path, corpus):
+    pipeline.write_csv(path, ["user_id", "url", "publisher"], corpus.link_rows())
+
+
+def test_write_links_equals_write_csv_of_the_link_rows(tmp_path):
+    # cells csv.writer quotes, and an empty user cell: alone in a row it would be written ""
+    users, urls = ("", "a,b", 'q"', "x\ny", "z"), ("", "u,1", 'u"2', "u\n3")
+    rows = np.arange(len(users) * len(urls), dtype=np.int64)
+    corpus = Corpus(users, urls, ("", "p,1", "p2", 'p"3'), rows // len(urls), rows % len(urls),
+                    np.ones(len(urls), dtype=np.int64))
+    pipeline.write_links(tmp_path / "links.csv", corpus)
+    write_link_rows(tmp_path / "rows.csv", corpus)
+    assert (tmp_path / "links.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_links_peak_does_not_grow_with_the_links(tmp_path):
+    generate_synthetic(SyntheticSpec(500, 20, 15), tmp_path / "posts.jsonl", tmp_path / "kb.csv")
+    m = build_corpus(load_posts(tmp_path / "posts.jsonl")[0])  # planted scale M
+    # over the same ids, at least 4x M's links: distinct (user, URL) pairs drawn at random
+    n = len(m.urls)
+    draws = np.random.default_rng(0).integers(0, len(m.users) * n, 5 * m.link_url.size)
+    keys = np.unique(draws)
+    big = Corpus(m.users, m.urls, m.domains, keys // n, keys % n, m.shares)
+    assert big.link_url.size >= 4 * m.link_url.size > 4 * pipeline.LINK_BLOCK
+    peaks = []
+    for name, corpus in (("m", m), ("big", big)):
+        _, peak = traced_peak(pipeline.write_links, tmp_path / f"{name}.csv", corpus)
+        peaks.append(peak)
+        write_link_rows(tmp_path / f"{name}_rows.csv", corpus)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_rows.csv").read_bytes()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_stage_functions_are_looked_up_at_call_time(inputs, tmp_path, monkeypatch):

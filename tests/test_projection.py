@@ -58,6 +58,11 @@ class TestPoissonBinomialTail:
         with pytest.raises(ValueError):
             projection.poisson_binomial_tail([-0.1], 1)
 
+    def test_no_probabilities(self):
+        # a sum of no Bernoullis is 0: certain at k = 0, impossible above
+        assert projection.poisson_binomial_tail([], 0) == 1.0
+        assert projection.poisson_binomial_tail([], 1) == 0.0
+
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             projection.poisson_binomial_tail([0.5], -1)
@@ -195,6 +200,22 @@ class TestClassTails:
         with mock.patch.object(projection, "CELLS", 1 << 6):  # a row or two per group
             np.testing.assert_array_equal(
                 projection.class_tails(q, sizes, rows, ks).view(np.int64), want)
+
+    def test_pmf_length_is_exact_around_powers_of_two(self, monkeypatch):
+        # the first pmf length is the least power of two >= need; ceil(np.log2) misses 2**49 + 1
+        class Length(Exception):
+            pass
+
+        def stop(q, sizes, length):
+            raise Length(length)
+
+        monkeypatch.setattr(projection, "_class_pmfs", stop)
+        for n in sorted({m for b in range(54) for m in (2**b - 1, 2**b, 2**b + 1)} - {0, 2**53 + 1}):
+            # one class of n - 1 certain links: support n - 1 and need n
+            with pytest.raises(Length) as length:
+                projection.class_tails(np.ones((1, 1)), np.array([n - 1]), np.zeros(1, np.int64),
+                                       np.zeros(1, np.int64))
+            assert length.value.args[0] == next(2**b for b in itertools.count() if 2**b >= n), n
 
     def test_peak_follows_cells_not_rows(self):
         # 4,000 class pairs at pmf length 128: a kernel as wide as the batch and a
