@@ -69,11 +69,10 @@ class BipartiteGraph:
 
 
 def build_graph(corpus: Corpus) -> BipartiteGraph:
-    """One link per corpus interaction: the user × URL matrix of ``corpus.index``."""
+    """One link per corpus interaction: the corpus's user × URL matrix ``user_urls``."""
     if not corpus.link_url.size:
         raise ValueError("empty corpus")
-    index = corpus.index
-    return BipartiteGraph(index.users, index.urls, index.user_urls)
+    return BipartiteGraph(corpus.users, corpus.urls, corpus.user_urls)
 
 
 @dataclass

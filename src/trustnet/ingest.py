@@ -100,9 +100,11 @@ class Corpus:
     one per distinct pair, in ascending (user, URL) order: ``sorted(interactions)``.
     Nothing changes a corpus once it is built, so each grouping below is derived once:
 
-    * ``index``: the links as binary matrices (``CorpusIndex``), which the stages read;
+    * ``user_urls`` (A, users × URLs) and ``publisher_users`` (Bᵀ, publishers × users):
+      the links as binary ``Links``, which the stages read with ``user_row``, user id ->
+      its row, and ``publishers``, the sorted distinct publishers;
     * ``interactions``: the (user_id, url, publisher) triples; ``share_events``:
-      each share event's URL, sorted; ``articles``, ``publishers``: the distinct ids;
+      each share event's URL, sorted; ``articles``: the distinct URLs;
     * ``url_publisher``: URL -> its publisher.
     """
 
@@ -125,9 +127,10 @@ class Corpus:
         distinct ids in any order; URL code c has publisher ``domains[c]``, ``shares[c]`` shares."""
         (user_ids, user_rank), (url_ids, url_rank) = _ranks(users), _ranks(urls)
         order = np.argsort(url_rank)  # the URL code of each rank
-        pairs = unique(user_rank.take(user_codes) * len(url_ids) + url_rank.take(url_codes))
-        return cls(user_ids, url_ids, tuple(_take(domains, order)), pairs // len(url_ids),
-                   pairs % len(url_ids), np.asarray(shares, dtype=np.int64)[order], skipped_urls)
+        links = Links.from_keys(user_rank.take(user_codes) * len(url_ids) + url_rank.take(url_codes),
+                                (len(user_ids), len(url_ids)))
+        return cls(user_ids, url_ids, tuple(_take(domains, order)), links.rows, links.cols,
+                   np.asarray(shares, dtype=np.int64)[order], skipped_urls)
 
     def link_rows(self) -> Iterator[tuple[str, str, str]]:
         """(user_id, url, publisher) per link, in link order: ``sorted(interactions)``."""
@@ -151,21 +154,22 @@ class Corpus:
         return frozenset(self.urls)
 
     @cached_property
-    def publishers(self) -> frozenset[str]:
-        return frozenset(self.domains)
+    def publishers(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.domains)))
 
     @cached_property
-    def index(self) -> "CorpusIndex":
-        publishers, codes = _ranks(self.domains)
-        codes.flags.writeable = False
-        n_users, n = len(self.users), len(publishers)
-        pairs = unique(self.link_user * n + codes[self.link_url])
-        a = Links(self.link_user, self.link_url, (n_users, len(self.urls)))
-        b = Links(pairs // n, pairs % n, (n_users, n))
-        by_publisher = np.argsort(b.cols, kind="stable")  # (publisher, user) order
-        bt = Links(b.cols[by_publisher], b.rows[by_publisher], (n, n_users))
-        return CorpusIndex(self.users, self.urls, publishers, a, codes, b, bt,
-                           {u: i for i, u in enumerate(self.users)})
+    def user_row(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    @cached_property
+    def user_urls(self) -> "Links":
+        return Links(self.link_user, self.link_url, (len(self.users), len(self.urls)))
+
+    @cached_property
+    def publisher_users(self) -> "Links":
+        n = len(self.users)
+        keys = _ranks(self.domains)[1].take(self.link_url) * n + self.link_user
+        return Links.from_keys(keys, (len(self.publishers), n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +188,14 @@ class Links:
 
     def __post_init__(self):
         self.rows.flags.writeable = self.cols.flags.writeable = False
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "Links":
+        """The distinct (row, col) of the int64 keys ``row * shape[1] + col``, in any order.
+
+        ``np.unique`` by sorting: numpy 2.4 sends a bare ``np.unique`` down a slower hash.
+        """
+        return cls(*np.divmod(np.unique(keys, return_counts=True)[0], shape[1]), shape)
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,23 +218,6 @@ class Links:
         return out
 
 
-@dataclass(frozen=True)
-class CorpusIndex:
-    """A corpus's links as binary ``Links`` matrices over sorted ids: A = ``user_urls``
-    (users × URLs), B = ``user_publishers`` (users × publishers), Bᵀ = ``publisher_users``;
-    ``url_publisher[j]`` is URL j's column in B. Every array is read-only.
-    """
-
-    users: tuple[str, ...]
-    urls: tuple[str, ...]
-    publishers: tuple[str, ...]
-    user_urls: Links
-    url_publisher: np.ndarray
-    user_publishers: Links
-    publisher_users: Links
-    user_row: dict[str, int]
-
-
 def _ranks(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct values sorted, and the rank of each value among them."""
     ids = tuple(sorted(set(values)))
@@ -237,14 +232,7 @@ def _take(ids: Sequence[str], codes: np.ndarray) -> list[str]:
 def incidence(rows: Sequence[str], cols: Sequence[str]) -> tuple[tuple, tuple, Links]:
     """Sorted row ids, sorted column ids and the ``Links`` of the distinct (rows[k], cols[k])."""
     (row_ids, i), (col_ids, j) = _ranks(rows), _ranks(cols)
-    pairs = unique(i * len(col_ids) + j)
-    return row_ids, col_ids, Links(pairs // len(col_ids), pairs % len(col_ids),
-                                   (len(row_ids), len(col_ids)))
-
-
-def unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique(keys)`` by sorting: numpy 2.4 sends a bare ``np.unique`` down a slower hash."""
-    return np.unique(keys, return_counts=True)[0]
+    return row_ids, col_ids, Links.from_keys(i * len(col_ids) + j, (len(row_ids), len(col_ids)))
 
 
 def fold_sum(values: Iterable[float]) -> float:

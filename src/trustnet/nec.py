@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ingest import Corpus, KnowledgeBase, Label, fold_sum, unique
+from .ingest import Corpus, KnowledgeBase, Label, Links, fold_sum
 from .projection import ValidatedNetwork
 
 UNCLUSTERED = -1
@@ -318,8 +318,8 @@ def nec_summary(partition: Partition, corpus: Corpus) -> list[NecRow]:
     column = {c: k for k, c in enumerate(ids)}
     cols = np.array([column.get(partition.assignment.get(url), n - 1) for url in corpus.urls],
                     dtype=np.int64)
-    users = unique(corpus.link_user * n + cols[corpus.link_url]) % n
-    n_users = np.bincount(users, minlength=n).tolist()
+    links = Links.from_keys(corpus.link_user * n + cols[corpus.link_url], (len(corpus.users), n))
+    n_users = np.bincount(links.cols, minlength=n).tolist()
     n_shares = np.bincount(cols, corpus.shares, minlength=n).astype(np.int64).tolist()
     rows = [
         NecRow(

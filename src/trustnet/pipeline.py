@@ -214,7 +214,7 @@ def stage_ingest(config: PipelineConfig, upstream: dict, stage_dir: Path, cached
     write_links(stage_dir / "interactions.csv", corpus)
     write_csv(stage_dir / "shares.csv", ["url", "n_shares"], zip(corpus.urls, corpus.shares.tolist()))
     write_csv(stage_dir / "publishers.csv", ["domain", "score", "label"],
-              [(p, kb.score(p), kb.label(p)) for p in sorted(corpus.publishers)])
+              [(p, kb.score(p), kb.label(p)) for p in corpus.publishers])
     labels = Counter(kb.label(p) for p in corpus.publishers)
     return (corpus, kb), {
         "n_posts": n_posts,

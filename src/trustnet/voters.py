@@ -35,17 +35,16 @@ class VoterProfile:
 
 
 def _validated_shares(corpus: Corpus, validated: ValidatedNetwork) -> np.ndarray:
-    """A·m over ``corpus.index.users``: each user's validated URLs, with A the user × URL
+    """A·m over ``corpus.users``: each user's validated URLs, with A the user × URL
     matrix and m the network's ``url_mask``; the users with any are the discussion supporters."""
-    if validated.urls != corpus.index.urls:
+    if validated.urls != corpus.urls:
         raise ValueError("the validated network's URLs are not the corpus's URLs in its order")
-    return corpus.index.user_urls @ validated.url_mask
+    return corpus.user_urls @ validated.url_mask
 
 
 def discussion_supporters(corpus: Corpus, validated: ValidatedNetwork) -> set[str]:
     """Users who shared a URL of the validated network."""
-    users = corpus.index.users
-    return {users[i] for i in np.flatnonzero(_validated_shares(corpus, validated)).tolist()}
+    return {corpus.users[i] for i in np.flatnonzero(_validated_shares(corpus, validated)).tolist()}
 
 
 def build_voter_profiles(
@@ -61,26 +60,26 @@ def build_voter_profiles(
     before classification). A voter's diet counts the distinct publishers
     they shared over the whole corpus.
 
-    With A the user × URL matrix of ``corpus.index`` and m marking the URLs
+    With A the corpus's user × URL matrix and m marking the URLs
     that feed a value (the validated ones for DS-URL-NEC, else all),
     ``n_articles`` is A·m and the value (A·s)/(A·k): k marks m's scored URLs,
     s holds their int KB scores, so each distinct article counts once, an
     unclassified one on neither side, and the sums are exact integers. The
-    diet is the user's link count in B, the user × publisher matrix.
+    diet is the link count of the user's column of Bᵀ, the publisher × user matrix.
     """
-    index, a = corpus.index, corpus.index.user_urls
+    a = corpus.user_urls
     n_validated, nec = _validated_shares(corpus, validated), strategy is StrategyKind.DS_URL_NEC
     used = validated.url_mask if nec else np.ones_like(validated.url_mask)
     n_articles = n_validated if nec else np.bincount(a.rows, minlength=a.shape[0])  # A·m or A·1
-    score = np.array([kb.score(p) for p in index.publishers], dtype=float)[index.url_publisher]
+    score = np.array([kb.score(p) for p in corpus.domains], dtype=float)
     scored = used & ~np.isnan(score)
     s = np.where(scored, score, 0.0).astype(np.int64)
     n_articles, total, n_scored = n_articles.tolist(), (a @ s).tolist(), (a @ scored).tolist()
-    diet = np.bincount(index.user_publishers.rows, minlength=len(index.users))
+    diet = np.bincount(corpus.publisher_users.cols, minlength=len(corpus.users))
     supporter = n_validated > 0
     voter = {StrategyKind.USERS_ALL: np.ones_like(supporter),
              StrategyKind.DS_ALL_WO_USR_NEC: ~supporter}.get(strategy, supporter)
-    rows = zip(index.users, voter.tolist(), n_articles, total, n_scored, diet.tolist())
+    rows = zip(corpus.users, voter.tolist(), n_articles, total, n_scored, diet.tolist())
     return [VoterProfile(u, n, t / k if k else None, d)
             for u, keep, n, t, k, d in rows if keep and n]
 

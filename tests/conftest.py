@@ -13,6 +13,18 @@ def dense(links) -> np.ndarray:
     return matrix
 
 
+def corpus_arrays(corpus):
+    """Every id tuple, int64 code array and link matrix of a corpus, as plain values."""
+    arrays = (corpus.link_user, corpus.link_url, corpus.shares)
+    matrices = (corpus.user_urls, corpus.publisher_users)
+    links = tuple(a for m in matrices for a in (m.rows, m.cols))
+    assert all(a.dtype == np.int64 for a in arrays + links)
+    return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
+             corpus.publishers, corpus.user_row]
+            + [a.tolist() for a in arrays]
+            + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
+
+
 def traced_peak(fn, *args):
     """``fn(*args)`` and the peak of the bytes tracemalloc traced while it ran."""
     tracemalloc.start()

@@ -1,11 +1,13 @@
-"""The corpus index and its link products against the set-based path they replaced.
+"""The corpus's link matrices and their products against the paths they replaced.
 
 ``profiles_oracle``, ``publisher_scores_oracle``, ``coverage_oracle`` and
 ``sweep_oracle`` copy the dict-of-frozensets implementations of voter
 profiles, publisher scores, coverage and the θ sweep that walked one voter
 list per (strategy, θ); they build on the set-based voter rule kept in
-``test_voters``. The products on ``Corpus.index`` must reproduce them field
-by field and bit for bit.
+``test_voters``. The products on the corpus's A (``user_urls``) and Bᵀ
+(``publisher_users``) must reproduce them field by field and bit for bit.
+``publisher_users_oracle`` builds Bᵀ as the transpose of B, the user ×
+publisher matrix, which the corpus no longer keeps.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from trustnet.classify import CoverageReport, PublisherScore
 from trustnet.ingest import (
     KnowledgeBase,
     Label,
+    Links,
     RawPost,
     build_corpus,
     fold_sum,
@@ -41,7 +44,7 @@ from trustnet.voters import (
     characterize,
 )
 
-from conftest import dense
+from conftest import corpus_arrays, dense
 from test_voters import _mean_score, article_set, select_voters, user_publishers
 
 
@@ -139,7 +142,7 @@ def exact(value):
 
 
 def check_against_oracle(corpus, network, kb, config):
-    """Every index-built value equals the set-based one, bit for bit."""
+    """Every value built on the link matrices equals the set-based one, bit for bit."""
     profiles = {kind: build_voter_profiles(kind, corpus, network, kb) for kind in ALL_STRATEGIES}
     oracle = {kind: profiles_oracle(kind, corpus, network, kb) for kind in ALL_STRATEGIES}
     assert exact(profiles) == exact(oracle)
@@ -154,24 +157,30 @@ def check_against_oracle(corpus, network, kb, config):
     return profiles
 
 
-def corpus_arrays(corpus):
-    """Every id tuple, int64 code array and index matrix of a corpus, as plain values."""
-    index = corpus.index
-    arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
-    matrices = (index.user_urls, index.user_publishers, index.publisher_users)
-    links = tuple(a for m in matrices for a in (m.rows, m.cols))
-    assert all(a.dtype == np.int64 for a in arrays + links)
-    return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
-             index.users, index.urls, index.publishers, index.user_row]
-            + [a.tolist() for a in arrays]
-            + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
+def publisher_users_oracle(corpus):
+    """Bᵀ as B's stable argsort by publisher, with B the distinct (user, publisher) links."""
+    publishers = sorted(set(corpus.domains))
+    codes = np.array([publishers.index(p) for p in corpus.domains], dtype=np.int64)
+    n = len(publishers)
+    pairs = np.unique(corpus.link_user * n + codes[corpus.link_url])
+    b_rows, b_cols = pairs // n, pairs % n
+    by_publisher = np.argsort(b_cols, kind="stable")  # (publisher, user) order
+    return Links(b_cols[by_publisher], b_rows[by_publisher], (n, len(corpus.users)))
+
+
+def same_links(got, want):
+    """``got`` and ``want`` hold equal int64 arrays and shapes."""
+    assert got.rows.dtype == got.cols.dtype == np.int64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
 
 
 def reloaded(corpus):
     """The corpus as a rerun reads it back from its ingest stage directory.
 
     The directory holds the set-based stage's bytes; the reload has the
-    fresh corpus's arrays and index matrices.
+    fresh corpus's arrays and link matrices.
     """
     with tempfile.TemporaryDirectory() as tmp:
         stage_dir = Path(tmp)
@@ -225,10 +234,11 @@ class TestOracle:
     @given(worlds())
     def test_random_worlds_match_the_set_based_path(self, world):
         corpus, network, kb, config = world
+        same_links(corpus.publisher_users, publisher_users_oracle(corpus))
         profiles = check_against_oracle(corpus, network, kb, config)
         # a rerun reads its corpus back from ingest/interactions.csv and shares.csv
         again = reloaded(corpus)
-        assert again.index.users == corpus.index.users
+        assert again.users == corpus.users
         assert Counter(again.share_events) == Counter(corpus.share_events)
         assert exact(check_against_oracle(again, network, kb, config)) == exact(profiles)
 
@@ -266,19 +276,26 @@ class TestIndex:
             RawPost("p1", "b", 0.0, ("https://y.com/2", "https://x.com/1"), "original"),
             RawPost("p2", "a", 0.0, ("https://x.com/1",), "original"),
         ])
-        index = corpus.index
-        assert index.users == ("a", "b")
-        assert index.urls == ("https://x.com/1", "https://y.com/2")
-        assert index.publishers == ("x.com", "y.com")
-        assert index.url_publisher.tolist() == [0, 1]
-        assert index.user_row == {"a": 0, "b": 1}
-        for m in (index.user_urls, index.user_publishers, index.publisher_users):
+        assert corpus.users == ("a", "b")
+        assert corpus.urls == ("https://x.com/1", "https://y.com/2")
+        assert corpus.publishers == ("x.com", "y.com")
+        assert corpus.user_row == {"a": 0, "b": 1}
+        for m in (corpus.user_urls, corpus.publisher_users):
             assert m.rows.dtype == m.cols.dtype == np.int64
             keys = m.rows * m.shape[1] + m.cols  # distinct links, ascending by (row, column)
             assert (np.diff(keys) > 0).all()
-        assert dense(index.user_urls).tolist() == [[1, 0], [1, 1]]
-        assert (dense(index.publisher_users) == dense(index.user_publishers).T).all()
-        assert bicm.build_graph(corpus).biadjacency is index.user_urls
+        assert dense(corpus.user_urls).tolist() == [[1, 0], [1, 1]]
+        assert dense(corpus.publisher_users).tolist() == [[1, 1], [0, 1]]
+        assert bicm.build_graph(corpus).biadjacency is corpus.user_urls
+
+    def test_build_graph_derives_only_a(self):
+        corpus = build_corpus([
+            RawPost("p1", "b", 0.0, ("https://y.com/2", "https://x.com/1"), "original"),
+            RawPost("p2", "a", 0.0, ("https://x.com/1",), "original"),
+        ])
+        bicm.build_graph(corpus)
+        fields = {f.name for f in dataclasses.fields(corpus)}
+        assert set(vars(corpus)) - fields == {"user_urls"}
 
     def test_counts_past_int8_are_exact(self):
         # one user shares 300 URLs of 300 publishers, and 200 users share one URL:
@@ -290,11 +307,10 @@ class TestIndex:
         corpus = build_corpus(posts)
         kb = KnowledgeBase(scores={f"p{i:03d}.com": i % 101 for i in range(300)})
         graph = bicm.build_graph(corpus)
-        index = corpus.index
-        assert graph.user_degrees[index.user_row["heavy"]] == 300
+        assert graph.user_degrees[corpus.user_row["heavy"]] == 300
         assert graph.user_degrees.tolist().count(2) == 200
-        assert graph.url_degrees[index.urls.index(wide[0])] == 201
-        assert graph.url_degrees[index.urls.index("https://hub.com/x")] == 200
+        assert graph.url_degrees[corpus.urls.index(wide[0])] == 201
+        assert graph.url_degrees[corpus.urls.index("https://hub.com/x")] == 200
         _, _, observed = projection.cooccurrences(graph)
         assert observed.max() == 200
         network = network_over(corpus, corpus.articles)

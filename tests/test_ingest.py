@@ -21,6 +21,7 @@ from trustnet.ingest import (
     Corpus,
     KnowledgeBaseError,
     Label,
+    Links,
     POST_KINDS,
     RawPost,
     ShareTable,
@@ -35,7 +36,7 @@ from trustnet.ingest import (
 from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-from conftest import traced_peak, write_spelled
+from conftest import corpus_arrays, traced_peak, write_spelled
 from test_voters import user_publishers, user_urls
 
 
@@ -546,18 +547,16 @@ class TestCorpusGroupings:
         users = {u for u, _, _ in triples}
         assert corpus.users == tuple(sorted(users))
         assert corpus.articles == {url for _, url, _ in triples}
-        assert corpus.publishers == {p for _, _, p in triples}
+        assert set(corpus.publishers) == {p for _, _, p in triples}
         assert corpus.url_publisher == {url: p for _, url, p in triples}
         by_user_urls = {u: {url for v, url, _ in triples if v == u} for u in users}
         by_user_publishers = {u: {p for v, _, p in triples if v == u} for u in users}
-        index = corpus.index
-
-        def rows(matrix, ids):
-            return {user: {ids[j] for j in matrix.cols[matrix.rows == i].tolist()}
-                    for i, user in enumerate(index.users)}
-
-        assert rows(index.user_urls, index.urls) == by_user_urls
-        assert rows(index.user_publishers, index.publishers) == by_user_publishers
+        a, bt = corpus.user_urls, corpus.publisher_users
+        assert corpus.user_row == {user: i for i, user in enumerate(corpus.users)}
+        assert {user: {corpus.urls[j] for j in a.cols[a.rows == i].tolist()}
+                for user, i in corpus.user_row.items()} == by_user_urls
+        assert {user: {corpus.publishers[j] for j in bt.rows[bt.cols == i].tolist()}
+                for user, i in corpus.user_row.items()} == by_user_publishers
         # the set-based voter oracle groups the same way
         assert user_urls(corpus) == by_user_urls
         assert user_publishers(corpus) == by_user_publishers
@@ -566,11 +565,9 @@ class TestCorpusGroupings:
         corpus = build_corpus([RawPost("p1", "u1", 0.0, ("https://a.com/x",), "original")])
         with pytest.raises(dataclasses.FrozenInstanceError):
             corpus.url_publisher = {}
-        # the code arrays are read-only too, so no caller can change links under a cached index
-        index = corpus.index
-        arrays = [corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher] + [
-            array for m in (index.user_urls, index.user_publishers, index.publisher_users)
-            for array in (m.rows, m.cols)]
+        # the code arrays are read-only too, so no caller can change links under a cached matrix
+        arrays = [corpus.link_user, corpus.link_url, corpus.shares] + [
+            array for m in (corpus.user_urls, corpus.publisher_users) for array in (m.rows, m.cols)]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
@@ -629,14 +626,22 @@ class TestShareTable:
 
 
 class TestUnique:
-    @given(st.lists(st.integers(-2**62, 2**62), max_size=50))
-    @example(keys=[])
+    # Links.from_keys dedups every (row, col) pair set; the shape is taken as given
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=50), st.integers(1, 2**31))
+    @example(keys=[], width=1)
+    @example(keys=[5, 5, 5, 0, 5], width=3)
+    @example(keys=[9, 2, 7, 2, 4, 0], width=4)
+    @example(keys=[2**62, -2**62, 2**62, 0, -2**62], width=7)
     @settings(max_examples=200, deadline=None)
-    def test_equals_numpy_unique(self, keys):
-        keys = np.array(keys, dtype=np.int64)
-        got, want = ingest.unique(keys), np.unique(keys)
-        assert got.dtype == want.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
+    def test_equals_numpy_unique(self, keys, width):
+        shape = (3, width)
+        links = Links.from_keys(np.array(keys, dtype=np.int64), shape)
+        rows, cols = divmod(np.unique(np.array(keys, dtype=np.int64)), width)
+        assert links.rows.dtype == links.cols.dtype == np.int64
+        np.testing.assert_array_equal(links.rows, rows)
+        np.testing.assert_array_equal(links.cols, cols)
+        assert not links.rows.flags.writeable and not links.cols.flags.writeable
+        assert links.shape == shape
 
 
 # ``_parse_post``, ``load_posts`` (without its log records) and ``build_corpus`` as
@@ -738,19 +743,6 @@ def ingest_artifacts_oracle(corpus, kb):
 
 
 ORACLE_KB = "domain,score\na.com,80\nb.org,\nc.net,20\n"
-
-
-def corpus_arrays(corpus):
-    """Every id tuple, int64 code array and index matrix of a corpus, as plain values."""
-    index = corpus.index
-    arrays = (corpus.link_user, corpus.link_url, corpus.shares, index.url_publisher)
-    matrices = (index.user_urls, index.user_publishers, index.publisher_users)
-    links = tuple(a for m in matrices for a in (m.rows, m.cols))
-    assert all(a.dtype == np.int64 for a in arrays + links)
-    return ([corpus.users, corpus.urls, corpus.domains, corpus.skipped_urls,
-             index.users, index.urls, index.publishers, index.user_row]
-            + [a.tolist() for a in arrays]
-            + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
 
 
 def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak, tree_digest, write_spelled
-from test_ingest import corpus_arrays
+from conftest import corpus_arrays, traced_peak, tree_digest, write_spelled
 from trustnet import pipeline
 from trustnet.ingest import Corpus, Label, build_corpus, load_posts
 from trustnet.pipeline import PipelineConfig, StageError, emit_figures, run_pipeline
