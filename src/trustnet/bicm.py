@@ -52,10 +52,6 @@ class BipartiteGraph:
         return int(self.user_degrees.sum())
 
     @property
-    def user_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.user_ids)}
-
-    @property
     def url_index(self) -> dict[str, int]:
         return {a: j for j, a in enumerate(self.url_ids)}
 
@@ -255,24 +251,6 @@ def solve(graph: BipartiteGraph, tol: float = 1e-8, max_iter: int = 10_000) -> B
     return BicmModel(
         x=x, y=y, forced_links=frozenset(forced), residual=residual, iterations=iterations
     )
-
-
-def link_probability(model: BicmModel, user: int, url: int) -> float:
-    """Probability of the (user, url) link under the null model."""
-    if not 0 <= user < model.x.size:
-        raise IndexError(f"user row {user} out of range")
-    if not 0 <= url < model.y.size:
-        raise IndexError(f"url column {url} out of range")
-    if (user, url) in model.forced_links:
-        return 1.0
-    xi = model.x[user]
-    ya = model.y[url]
-    if np.isinf(xi) or np.isinf(ya):
-        # Non-forced pair with a pinned node: the partner was already peeled
-        # out of the system (fitness 0), so the link cannot occur.
-        return 0.0
-    t = xi * ya
-    return float(t / (1.0 + t))
 
 
 def probability_matrix(model: BicmModel) -> np.ndarray:

@@ -28,10 +28,6 @@ class CoverageReport:
     covered: dict[Label, int]
     universe: dict[Label, int]
 
-    @property
-    def total_covered(self) -> int:
-        return sum(self.covered.values())
-
     def percentage(self, level: Label) -> float:
         if self.universe[level] == 0:
             return 0.0

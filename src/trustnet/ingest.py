@@ -287,18 +287,6 @@ def _host_prefix(key: str) -> tuple[str, str]:
     return key[:cut], key[cut:]
 
 
-def extract_domain(url: str) -> str | None:
-    """Publisher domain of an absolute URL, or None if the URL has no host."""
-    parts = _url_parts(url)
-    return parts[1] if parts else None
-
-
-def canonical_url(url: str) -> str | None:
-    """Canonical article identity: scheme + normalized host + path, or None."""
-    parts = _url_parts(url)
-    return parts[0] if parts else None
-
-
 def _records(path: str | Path, malformed: list[int]) -> Iterator[tuple]:
     """Each well-formed post of a JSON Lines file as its checked (post_id, user_id, timestamp,
     urls, kind) tuple, in file order; the one line validator. A leading UTF-8 byte-order mark is
@@ -347,11 +335,6 @@ def _records(path: str | Path, malformed: list[int]) -> Iterator[tuple]:
             yield record
     if malformed[0]:
         log.warning("%s: skipped %d malformed records", path, malformed[0])
-
-
-def read_posts(path: str | Path) -> Iterator[RawPost]:
-    """The posts ``load_posts`` keeps, as ``RawPost``s in file order."""
-    return (RawPost(p, u, float(t), tuple(us), k) for p, u, t, us, k in _records(path, [0]))
 
 
 def _share_table(posts: Iterable[tuple]) -> ShareTable:

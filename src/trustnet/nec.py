@@ -257,14 +257,6 @@ def modularity_of_edges(edges: list[tuple[str, str]], assignment: dict[str, int]
     return fold_sum(m_c[c] / m - (d_c[c] / (2 * m)) ** 2 for c in d_c)
 
 
-def modularity(network: ValidatedNetwork, assignment: dict[str, int]) -> float:
-    """Modularity of an assignment on the (unweighted) validated network."""
-    for a, b, _ in network.edges:
-        if a not in assignment or b not in assignment:
-            raise ValueError("assignment must cover every network node")
-    return modularity_of_edges(_edges(network), assignment)
-
-
 def purity(
     partition: Partition,
     community: int,

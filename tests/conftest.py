@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from trustnet import ingest
+
 
 def dense(links) -> np.ndarray:
     """The int64 0/1 matrix that a ``Links`` stands for."""
@@ -23,6 +25,12 @@ def corpus_arrays(corpus):
              corpus.publishers, corpus.user_row]
             + [a.tolist() for a in arrays]
             + [(m.shape, m.rows.tolist(), m.cols.tolist()) for m in matrices])
+
+
+def raw_posts(path):
+    """The posts ``load_posts`` keeps, as ``RawPost``s in file order."""
+    return (ingest.RawPost(p, u, float(t), tuple(us), k) for p, u, t, us, k
+            in ingest._records(path, [0]))
 
 
 def traced_peak(fn, *args):

@@ -86,16 +86,15 @@ class TestSolve:
             [("u1", "a1"), ("u1", "a2"), ("u1", "a3"), ("u2", "a1"), ("u3", "a2")]
         )
         model = bicm.solve(g)
-        i = g.user_index["u1"]
-        for a in range(g.n_urls):
-            assert bicm.link_probability(model, i, a) == 1.0
+        p = bicm.probability_matrix(model)
+        assert (p[g.user_ids.index("u1")] == 1.0).all()
         assert bicm.degree_residual(g, model) <= 1e-8
 
     def test_three_by_three_matches_independent_oracle(self):
         g = graph_from(THREE_BY_THREE)
         model = bicm.solve(g, tol=1e-10)
         p = bicm.probability_matrix(model)
-        idx_u = g.user_index
+        idx_u = {u: i for i, u in enumerate(g.user_ids)}
         idx_a = g.url_index
         assert p[idx_u["u1"], idx_a["a1"]] == pytest.approx(ORACLE_U, abs=1e-8)
         assert p[idx_u["u1"], idx_a["a2"]] == pytest.approx(ORACLE_V, abs=1e-8)
@@ -113,7 +112,7 @@ class TestSolve:
     def test_equal_degrees_share_fitness_exactly(self):
         g = graph_from(THREE_BY_THREE)
         model = bicm.solve(g)
-        assert model.x[g.user_index["u2"]] == model.x[g.user_index["u3"]]
+        assert model.x[g.user_ids.index("u2")] == model.x[g.user_ids.index("u3")]
         assert model.y[g.url_index["a2"]] == model.y[g.url_index["a3"]]
 
     def test_permutation_equivariance(self):
@@ -123,8 +122,8 @@ class TestSolve:
         g2 = graph_from(renamed)
         model2 = bicm.solve(g2)
         for u, a in THREE_BY_THREE:
-            i, j = g.user_index[u], g.url_index[a]
-            i2 = g2.user_index[u.replace("u", "z")]
+            i, j = g.user_ids.index(u), g.url_index[a]
+            i2 = g2.user_ids.index(u.replace("u", "z"))
             j2 = g2.url_index[a.replace("a", "b")]
             assert model.x[i] == pytest.approx(model2.x[i2], rel=1e-12)
             assert model.y[j] == pytest.approx(model2.y[j2], rel=1e-12)
@@ -288,22 +287,15 @@ class TestReduceDegenerate:
 class TestLinkProbability:
     def test_zero_fitness_gives_zero(self):
         model = _toy_model(x=[0.0, 1.0], y=[1.0, 1.0])
-        assert bicm.link_probability(model, 0, 0) == 0.0
+        assert bicm.probability_matrix(model)[0, 0] == 0.0
 
     def test_unit_product_gives_half(self):
         model = _toy_model(x=[1.0, 1.0], y=[1.0, 1.0])
-        assert bicm.link_probability(model, 0, 0) == 0.5
+        assert bicm.probability_matrix(model)[0, 0] == 0.5
 
     def test_forced_link_is_one(self):
         model = _toy_model(x=[np.inf, 1.0], y=[1.0, 1.0], forced={(0, 0), (0, 1)})
-        assert bicm.link_probability(model, 0, 0) == 1.0
-
-    def test_out_of_range_index(self):
-        model = _toy_model(x=[1.0], y=[1.0])
-        with pytest.raises(IndexError):
-            bicm.link_probability(model, 1, 0)
-        with pytest.raises(IndexError):
-            bicm.link_probability(model, 0, 5)
+        assert bicm.probability_matrix(model)[0, 0] == 1.0
 
 
 def _toy_model(x, y, forced=()):
@@ -383,7 +375,7 @@ class TestSample:
         counts = {u: 0 for u in g.user_ids}
         for s in range(n_samples):
             drawn = bicm.sample(g, model, seed=s)
-            idx = drawn.user_index
+            idx = {u: i for i, u in enumerate(drawn.user_ids)}
             for u in g.user_ids:
                 if u in idx:
                     counts[u] += int(drawn.user_degrees[idx[u]])

@@ -26,17 +26,14 @@ from trustnet.ingest import (
     RawPost,
     ShareTable,
     build_corpus,
-    canonical_url,
-    extract_domain,
     fold_sum,
     load_knowledge_base,
     load_posts,
-    read_posts,
 )
 from trustnet.pipeline import PipelineConfig
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-from conftest import corpus_arrays, traced_peak, write_spelled
+from conftest import corpus_arrays, raw_posts, traced_peak, write_spelled
 from test_voters import user_publishers, user_urls
 
 
@@ -52,7 +49,7 @@ def write_posts(path, records):
 
 def posts_and_malformed(path):
     """The posts ``load_posts`` keeps, as ``RawPost``s, and its malformed-line count."""
-    return list(read_posts(path)), load_posts(path)[1]
+    return list(raw_posts(path)), load_posts(path)[1]
 
 
 class TestFoldSum:
@@ -225,32 +222,34 @@ def test_a_carriage_return_user_id_leaves_a_reloadable_run(tmp_path):
 
 
 class TestExtractDomain:
+    """The publisher domain and canonical URL that ``ingest._url_parts`` gives a URL."""
+
     def test_strips_www_query_and_path(self):
-        assert extract_domain("https://www.example.com/a/b?x=1") == "example.com"
+        assert ingest._url_parts("https://www.example.com/a/b?x=1")[1] == "example.com"
 
     def test_lowercases_and_strips_port(self):
-        assert extract_domain("http://News.Site.org:8080/p") == "news.site.org"
+        assert ingest._url_parts("http://News.Site.org:8080/p")[1] == "news.site.org"
 
     def test_not_a_url(self):
-        assert extract_domain("notaurl") is None
+        assert ingest._url_parts("notaurl") is None
 
     def test_relative_url(self):
-        assert extract_domain("/relative/path") is None
+        assert ingest._url_parts("/relative/path") is None
 
     def test_single_www_stripped(self):
-        assert extract_domain("https://www.www.example.com/") == "www.example.com"
+        assert ingest._url_parts("https://www.www.example.com/")[1] == "www.example.com"
 
     def test_domain_keeps_full_host(self):
         url = "https://amp.news.example.co.uk/story"
-        assert extract_domain(url) == "amp.news.example.co.uk"
+        assert ingest._url_parts(url)[1] == "amp.news.example.co.uk"
 
     def test_canonical_url(self):
-        assert canonical_url("https://WWW.Example.com:443/a/b?q=1#frag") == "https://example.com/a/b"
-        assert canonical_url("notaurl") is None
+        assert ingest._url_parts("https://WWW.Example.com:443/a/b?q=1#frag") == (
+            "https://example.com/a/b", "example.com")
 
 
 def three_split_domain(url):
-    """``extract_domain`` as it was before URLs were split once, kept as its oracle."""
+    """The domain rule as it was before URLs were split once, kept as ``_url_parts``' oracle."""
     try:
         parts = urlsplit(url)
     except ValueError:
@@ -264,11 +263,12 @@ def three_split_domain(url):
     return host or None
 
 
-def three_split_canonical(url):
+def three_split_parts(url):
+    """(canonical URL, domain) as they were before URLs were split once, or None."""
     domain = three_split_domain(url)
     if domain is None:
         return None
-    return f"{urlsplit(url).scheme.lower()}://{domain}{urlsplit(url).path}"
+    return f"{urlsplit(url).scheme.lower()}://{domain}{urlsplit(url).path}", domain
 
 
 # the spellings the longtail benchmark corpus and real shares use
@@ -308,16 +308,14 @@ class TestUrlPartsOracle:
     @given(_url)
     @settings(max_examples=400, deadline=None)
     def test_views_equal_three_split_versions(self, url):
-        assert extract_domain(url) == three_split_domain(url)
-        assert canonical_url(url) == three_split_canonical(url)
+        assert ingest._url_parts(url) == three_split_parts(url)
 
     @pytest.mark.parametrize("url", [
         "http://[bad-host/x", "mailto:a@b.com", "example.com/x", "", "https://./p",
         "https://user:pw@WWW.Example.com.:443/a?q=1#f",
     ])
     def test_edge_spellings(self, url):
-        assert extract_domain(url) == three_split_domain(url)
-        assert canonical_url(url) == three_split_canonical(url)
+        assert ingest._url_parts(url) == three_split_parts(url)
 
     @given(st.one_of(_url, _free_url))
     @settings(max_examples=500, deadline=None)
@@ -480,7 +478,7 @@ class TestKnowledgeBase:
         for url, label in [("https://example.com/a", Label.T),
                            ("https://www.news.org/b", Label.N),
                            ("http://dotted.net./c", Label.T)]:
-            assert kb.label(extract_domain(url)) is label
+            assert kb.label(ingest._url_parts(url)[1]) is label
 
     def test_domain_that_normalizes_to_nothing_is_fatal(self, tmp_path):
         with pytest.raises(KnowledgeBaseError, match=":3: missing domain"):
@@ -597,8 +595,8 @@ class TestShareTable:
         assert malformed == n_malformed > 0
         want = corpus_arrays(build_corpus(load_posts(plain)[0]))
         assert corpus_arrays(build_corpus(table)) == want
-        assert corpus_arrays(build_corpus(list(read_posts(spelled)))) == want
-        assert corpus_arrays(build_corpus(read_posts(spelled))) == want
+        assert corpus_arrays(build_corpus(list(raw_posts(spelled)))) == want
+        assert corpus_arrays(build_corpus(raw_posts(spelled))) == want
 
     def test_load_posts_peak_per_post(self, tmp_path):
         # planted scale M: one RawPost, its URL tuple and its float per post took ~265 B;
@@ -749,7 +747,7 @@ def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
     """Both ingests of one posts file agree; the current one's (posts, malformed, corpus).
 
     They agree on the posts, the corpus, the three artifacts' bytes and the
-    meta counts; ``load_posts``' table and the ``RawPost``s of ``read_posts`` build
+    meta counts; ``load_posts``' table and the ``RawPost``s of its records build
     equal corpora, and a reload of the written stage equals the fresh corpus.
     """
     with tempfile.TemporaryDirectory() as tmp:
@@ -757,7 +755,7 @@ def ingest_matches_oracle(data: bytes) -> tuple[list[RawPost], int, Corpus]:
         path, kb_path = tmp / "posts.jsonl", tmp / "kb.csv"
         path.write_bytes(data)
         kb_path.write_text(ORACLE_KB, encoding="utf-8")
-        (table, malformed), posts = load_posts(path), list(read_posts(path))
+        (table, malformed), posts = load_posts(path), list(raw_posts(path))
         want_posts, want_malformed = load_posts_oracle(path)
         assert [tuple(p) for p in posts] == [dataclasses.astuple(p) for p in want_posts]
         assert (len(table), malformed) == (len(want_posts), want_malformed)

@@ -89,7 +89,7 @@ class TestLouvain:
         net, _, _ = two_k5s()
         part = nec.louvain(net, seed=3)
         singleton = {u: i for i, u in enumerate(sorted(net.validated_urls))}
-        assert part.modularity >= nec.modularity(net, singleton)
+        assert part.modularity >= nec.modularity_of_edges(nec._edges(net), singleton)
 
     def test_edge_permutation_invariance(self):
         rng = random.Random(21)
@@ -134,19 +134,22 @@ class TestModularity:
     def test_single_community_connected_graph_is_zero(self):
         net = make_network(clique([f"n{i}" for i in range(4)]))
         assignment = {u: 0 for u in net.validated_urls}
-        assert nec.modularity(net, assignment) == pytest.approx(0.0, abs=1e-12)
+        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_two_equal_cliques_half(self):
         net, left, right = two_k5s()
         assignment = {u: 0 for u in left} | {u: 1 for u in right}
-        assert nec.modularity(net, assignment) == pytest.approx(0.5, abs=1e-12)
+        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_singletons_in_clique_negative(self):
         # K5, every node its own community: Q = -sum (d_i/2m)^2 = -1/5
         nodes = [f"n{i}" for i in range(5)]
         net = make_network(clique(nodes))
         assignment = {u: i for i, u in enumerate(nodes)}
-        assert nec.modularity(net, assignment) == pytest.approx(-0.2, abs=1e-12)
+        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        assert q == pytest.approx(-0.2, abs=1e-12)
 
     def test_matches_weighted_formula_on_random_partitions(self):
         def weighted_oracle(weights, assignment):
@@ -171,11 +174,6 @@ class TestModularity:
             assert nec.modularity_of_edges(edges, assignment) == weighted_oracle(
                 dict.fromkeys(edges, 1.0), assignment
             )
-
-    def test_uncovered_node_rejected(self):
-        net = make_network([("a", "b", 1e-3)])
-        with pytest.raises(ValueError):
-            nec.modularity(net, {"a": 0})
 
 
 def corpus_for_purity():

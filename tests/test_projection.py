@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from trustnet import bicm, projection
-from trustnet.ingest import RawPost, build_corpus, load_posts, read_posts
+from trustnet.ingest import RawPost, build_corpus, load_posts
 from trustnet.synth import SyntheticSpec, generate_synthetic
 
-from conftest import dense, traced_peak
+from conftest import dense, raw_posts, traced_peak
 
 
 def csr(links, dtype=np.int64):
@@ -239,14 +239,16 @@ class TestClassPairs:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_keys_and_rows_equal_unique_with_inverse(self, data):
-        n_cls = data.draw(st.integers(1, 9))
-        url_cls = np.array(data.draw(st.lists(st.integers(0, n_cls - 1), min_size=1, max_size=20)),
+        # the counting tables' bounds: no pair, one class, up to 40² class pairs and counts to 50
+        n_cls = data.draw(st.integers(1, 40))
+        url_cls = np.array(data.draw(st.lists(st.integers(0, n_cls - 1), min_size=1, max_size=60)),
                            dtype=np.int64)
         url = st.integers(0, url_cls.size - 1)
-        pairs = data.draw(st.lists(st.tuples(url, url), max_size=60))
+        pairs = data.draw(st.lists(st.tuples(url, url), max_size=200))
         dtype = data.draw(st.sampled_from([np.int64, np.int32]))  # cooccurrences gives int32
         url_a, url_b = (np.array([p[i] for p in pairs], dtype=dtype) for i in (0, 1))
-        observed = np.array(data.draw(st.lists(st.integers(1, 6), min_size=len(pairs),
+        max_count = data.draw(st.integers(1, 50))
+        observed = np.array(data.draw(st.lists(st.integers(1, max_count), min_size=len(pairs),
                                                max_size=len(pairs))), dtype=dtype)
         before = [a.copy() for a in (url_cls, url_a, url_b, observed)]
         ca, cb = url_cls[url_a], url_cls[url_b]
@@ -531,7 +533,7 @@ class TestClassReduction:
         # planted scale M, seed 0, plus one URL that every user shares: one forced link per user
         generate_synthetic(SyntheticSpec(500, 20, 15, seed=0), tmp_path / "posts.jsonl",
                            tmp_path / "kb.csv")
-        posts = list(read_posts(tmp_path / "posts.jsonl"))
+        posts = list(raw_posts(tmp_path / "posts.jsonl"))
         posts += [RawPost(f"all-{u}", u, 0.0, ("https://everyone.com/story",), "original")
                   for u in sorted({p.user_id for p in posts})]
         graph = bicm.build_graph(build_corpus(posts))
