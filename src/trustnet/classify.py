@@ -116,17 +116,12 @@ def vote_columns(
     """Per column j, ``publisher_scores`` and ``coverage`` of the voters with ``select[:, j]`` set.
 
     With Bᵀ the corpus's publisher × user matrix, one product each
-    gives every distinct column's vote sums, vote counts and reached
-    publishers; a column equal to the one before it shares that one's result.
+    gives every column's vote sums, vote counts and reached publishers.
     """
     bt = corpus.publisher_users
-    by_column = np.ascontiguousarray(select.T)
-    new = np.ones(len(by_column), dtype=bool)  # a column unlike the one before it
-    new[1:] = (by_column[1:] != by_column[:-1]).any(axis=1)
-    distinct, column = select[:, new], np.cumsum(new) - 1
     rows = np.array([corpus.user_row[v.user_id] for v in voters], dtype=np.int64)
-    chosen = np.zeros((len(corpus.users), distinct.shape[1]), dtype=bool)
-    chosen[rows] = distinct
+    chosen = np.zeros((len(corpus.users), select.shape[1]), dtype=bool)
+    chosen[rows] = select
     value = np.zeros(len(corpus.users))
     value[rows] = np.array([v.value for v in voters], dtype=float)  # None is nan
     votes = chosen & ~np.isnan(value)[:, None]
@@ -136,13 +131,12 @@ def vote_columns(
     levels = np.array([[label is level for level in Label] for label in labels], dtype=np.int64)
     covered = ((bt @ chosen > 0).T.astype(np.int64) @ levels).tolist()
     universe = levels.sum(axis=0).tolist()
-    results = [
+    return [
         ([PublisherScore(p, s / n, n, label)
           for p, s, n, label in zip(corpus.publishers, col_sums, col_counts, labels) if n],
          CoverageReport(dict(zip(Label, col_covered)), dict(zip(Label, universe))))
         for col_sums, col_counts, col_covered in zip(sums, counts, covered)
     ]
-    return [results[j] for j in column.tolist()]
 
 
 def fit_stump(samples: list[tuple[float, Label]]) -> Stump:

@@ -191,11 +191,12 @@ class Links:
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "Links":
-        """The distinct (row, col) of the int64 keys ``row * shape[1] + col``, in any order.
-
-        ``np.unique`` by sorting: numpy 2.4 sends a bare ``np.unique`` down a slower hash.
-        """
-        return cls(*np.divmod(np.unique(keys, return_counts=True)[0], shape[1]), shape)
+        """The distinct (row, col) of the int64 keys ``row * shape[1] + col``, in any order."""
+        keys = np.sort(keys)
+        first = np.ones(len(keys), dtype=bool)  # a key unlike the one before it
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]  # frees the sorted copy before divmod makes rows and cols
+        return cls(*np.divmod(keys, shape[1]), shape)
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:

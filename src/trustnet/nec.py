@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from collections.abc import Collection
+from collections.abc import Collection, Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,15 +60,6 @@ class NecRow:
 MIN_GAIN = 1e-12
 
 
-def _edges(network: ValidatedNetwork) -> list[tuple[str, str]]:
-    """Each validated edge once, as its ordered URL pair, in network order.
-
-    A list, not a set: modularity sums its terms in this order, and a set's
-    order would follow the interpreter's string hash seed.
-    """
-    return list(dict.fromkeys((a, b) if a < b else (b, a) for a, b, _ in network.edges))
-
-
 class _LevelGraph:
     """Aggregated graph for one Louvain level (self-weights kept separate)."""
 
@@ -84,9 +75,9 @@ class _LevelGraph:
 def _one_level(graph: _LevelGraph, rng: random.Random):
     """Sequential local moves until no node improves its community.
 
-    Returns (community per node, modularity after each sweep, whether any
-    node moved). Ties between equally good target communities break toward
-    the smaller community id; a tie with the current community means stay.
+    Returns (community per node, modularity after each sweep); only the last
+    sweep moves no node. Ties between equally good target communities break
+    toward the smaller community id; a tie with the current community means stay.
     """
     n = graph.n
     deg = graph.degrees()
@@ -97,15 +88,7 @@ def _one_level(graph: _LevelGraph, rng: random.Random):
     order = list(range(n))
     rng.shuffle(order)
 
-    def sweep_modularity() -> float:
-        q = 0.0
-        for c in range(n):
-            if sigma_tot[c] > 0 or sigma_in[c] > 0:
-                q += sigma_in[c] / two_w - (sigma_tot[c] / two_w) ** 2
-        return q
-
     pass_q: list[float] = []
-    moved_any = False
     while True:
         moves = 0
         for node in order:
@@ -116,28 +99,23 @@ def _one_level(graph: _LevelGraph, rng: random.Random):
             k_i = deg[node]
             sigma_tot[c_old] -= k_i
             sigma_in[c_old] -= 2.0 * w_comm.get(c_old, 0.0) + graph.loops[node]
-
-            def gain(c: int) -> float:
-                # modularity gain of joining c, rescaled by the constant W
-                return w_comm.get(c, 0.0) - sigma_tot[c] * k_i / two_w
-
+            # the modularity gain of joining c is w - sigma_tot[c] * k_i / two_w,
+            # rescaled by the constant W; c_old's gain never beats itself
             best_c = c_old
-            best_gain = gain(c_old)
-            for c in sorted(w_comm):
-                if c == c_old:
-                    continue
-                if gain(c) > best_gain + MIN_GAIN:
-                    best_c, best_gain = c, gain(c)
+            best_gain = w_comm.get(c_old, 0.0) - sigma_tot[c_old] * k_i / two_w
+            for c, w in sorted(w_comm.items()):
+                gain = w - sigma_tot[c] * k_i / two_w
+                if gain > best_gain + MIN_GAIN:
+                    best_c, best_gain = c, gain
             sigma_tot[best_c] += k_i
             sigma_in[best_c] += 2.0 * w_comm.get(best_c, 0.0) + graph.loops[node]
             comm[node] = best_c
-            if best_c != c_old:
-                moves += 1
-                moved_any = True
-        pass_q.append(sweep_modularity())
+            moves += best_c != c_old
+        pass_q.append(fold_sum(sigma_in[c] / two_w - (sigma_tot[c] / two_w) ** 2
+                               for c in range(n) if sigma_tot[c] > 0 or sigma_in[c] > 0))
         if moves == 0:
             break
-    return comm, pass_q, moved_any
+    return comm, pass_q
 
 
 def _aggregate(graph: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, dict[int, int]]:
@@ -160,88 +138,89 @@ def _aggregate(graph: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, dict[i
 def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
     """Two-phase Louvain (plain modularity) on the unweighted validated URL network.
 
+    The sorted validated URLs are nodes 0..n-1. Each validated edge becomes its
+    ordered index pair once, in network order, as modularity sums its terms in
+    that order; the pairs build the level-0 graph that the singleton merge reads.
     Deterministic for a fixed seed: the node visit order at each level is a
     seeded shuffle of the sorted id order. URLs of the tested universe that
     carry no validated edge are assigned the reserved community -1.
     """
     assignment = {u: UNCLUSTERED for u in network.urls}
-    edges = _edges(network)
+    nodes = sorted(network.validated_urls)
+    index = {u: i for i, u in enumerate(nodes)}
+    pairs = ((index[a], index[b]) for a, b, _ in network.edges)
+    edges = list(dict.fromkeys((i, j) if i < j else (j, i) for i, j in pairs))
     if not edges:
         return Partition(assignment=assignment, modularity=0.0)
 
-    nodes = sorted(network.validated_urls)
-    index = {u: i for i, u in enumerate(nodes)}
-    level = _LevelGraph(len(nodes))
-    for a, b in edges:
-        i, j = index[a], index[b]
+    level = base = _LevelGraph(len(nodes))
+    for i, j in edges:
         level.adj[i][j] = level.adj[j][i] = 1.0
 
     rng = random.Random(seed)
     node_comm = list(range(len(nodes)))
     pass_modularities: list[float] = []
     while True:
-        comm, pass_q, moved = _one_level(level, rng)
+        comm, pass_q = _one_level(level, rng)
         pass_modularities.extend(pass_q)
         node_comm = [comm[c] for c in node_comm]
-        if not moved:
+        if len(pass_q) == 1:  # no node moved
             break
         level, remap = _aggregate(level, comm)
         node_comm = [remap[c] for c in node_comm]
 
-    final = _relabel({nodes[i]: c for i, c in enumerate(node_comm)}, edges)
-    assignment.update(final)
-    q = modularity_of_edges(edges, assignment)
+    node_comm = _relabel(node_comm, base, len(edges))
+    assignment.update(zip(nodes, node_comm))
     return Partition(
         assignment=assignment,
-        modularity=q,
+        modularity=modularity_of_edges(edges, node_comm),
         pass_modularities=pass_modularities,
     )
 
 
-def _relabel(raw: dict[str, int], edges: list[tuple[str, str]]) -> dict[str, int]:
+def _relabel(comm: list[int], graph: _LevelGraph, n_edges: int) -> list[int]:
     """Contiguous ids from 0, largest community first; singletons merged away.
 
-    A validated URL always has a neighbor, so a surviving singleton community
-    joins the neighboring community with the largest modularity gain
-    ``e_xc - k_x * sigma_c / 2m``, ties to the smaller Louvain id.
+    ``comm`` is the Louvain community of each node of the level-0 ``graph``,
+    whose ``n_edges`` unit edges give 2m = 2 * n_edges (a self-loop edge
+    counts in 2m twice but in its node's degree once). A validated URL always
+    has a neighbor, so a surviving singleton community joins the neighboring
+    community with the largest modularity gain ``e_xc - k_x * sigma_c / 2m``,
+    ties to the smaller Louvain id.
     """
-    groups: dict[int, set[str]] = defaultdict(set)
-    for u, c in raw.items():
-        groups[c].add(u)
-    nbrs: dict[str, set[str]] = defaultdict(set)
-    for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+    size = Counter(comm)
     sigma: dict[int, int] = defaultdict(int)  # total degree per community
-    for u, c in raw.items():
-        sigma[c] += len(nbrs[u])
-    two_m = 2 * len(edges)
-    for c in sorted(groups, key=lambda c: min(groups[c])):
-        if len(groups[c]) != 1:
+    for i, c in enumerate(comm):
+        sigma[c] += len(graph.adj[i])
+    two_m = 2 * n_edges
+    # only a singleton's own node ever leaves its community, so no larger community
+    # shrinks to one, and the singletons are visited in the order of their nodes
+    for lone, c in enumerate(comm):
+        if size[c] != 1:
             continue
-        (lone,) = groups[c]
-        links = Counter(raw[v] for v in nbrs[lone] if raw[v] != c)
+        links = Counter(comm[v] for v in graph.adj[lone] if comm[v] != c)
         if not links:
             continue
-        k = len(nbrs[lone])
+        k = len(graph.adj[lone])
         # the gain times 2m, an exact integer; max keeps the first, smallest id of a tie
         target = max(sorted(links), key=lambda t: links[t] * two_m - k * sigma[t])
-        groups[c].discard(lone)
-        groups[target].add(lone)
-        raw[lone] = target
+        size[c] -= 1
+        size[target] += 1
+        comm[lone] = target
         sigma[target] += k
-    ordered = sorted(
-        (c for c in groups if groups[c]),
-        key=lambda c: (-len(groups[c]), min(groups[c])),
-    )
+    # largest first; a stable sort keeps ties in the order of their smallest node
+    ordered = sorted(dict.fromkeys(comm), key=lambda c: -size[c])
     remap = {c: i for i, c in enumerate(ordered)}
-    return {u: remap[c] for u, c in raw.items()}
+    return [remap[c] for c in comm]
 
 
-def modularity_of_edges(edges: list[tuple[str, str]], assignment: dict[str, int]) -> float:
+def modularity_of_edges(edges: Sequence[tuple[Hashable, Hashable]],
+                        assignment: Mapping[Hashable, int] | Sequence[int]) -> float:
     """Q = sum_c (m_c / m - (d_c / 2m)^2) over the given undirected unit edges.
 
-    The terms are summed in the order their communities first appear in ``edges``.
+    Nodes may be any hashable ids; ``assignment[node]`` is the node's
+    community, so a list serves nodes numbered from 0. The terms are summed
+    in the order their communities first appear in ``edges``.
     """
     if not edges:
         return 0.0

@@ -427,7 +427,8 @@ def compute_sweep(
     """One point per strategy and θ: the strategy's voters whose diet reaches θ.
 
     θ is a column mask over a strategy's voters: one ``vote_columns`` call
-    scores and covers every θ, and only the CV runs per θ.
+    scores and covers each distinct column, and the CV runs once per distinct
+    column; a θ whose column equals the one before reuses that one's results.
 
     Knowledge counts the distinct labeled publishers needed to characterize
     the voters. Every strategy but DS-URL-NEC characterizes a voter by
@@ -441,9 +442,13 @@ def compute_sweep(
     points = []
     for kind, profs in profiles.items():
         select = np.array([v.diet for v in profs], dtype=np.int64)[:, None] >= np.array(thetas)
-        columns = classify.vote_columns(profs, select, corpus, kb)
-        for theta, n_voters, (scores, cov) in zip(thetas, select.sum(axis=0).tolist(), columns):
-            report = _cross_validate(config, scores)
+        new = np.ones(len(thetas), dtype=bool)  # a column unlike the one before it
+        new[1:] = (select[:, 1:] != select[:, :-1]).any(axis=0)
+        columns = iter(classify.vote_columns(profs, select[:, new], corpus, kb))
+        for theta, n_voters, is_new in zip(thetas, select.sum(axis=0).tolist(), new.tolist()):
+            if is_new:
+                scores, cov = next(columns)
+                report = _cross_validate(config, scores)
             points.append(SweepPoint(
                 strategy=kind.value,
                 theta=theta,

@@ -1,5 +1,5 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -28,6 +28,27 @@ def two_k5s():
     left = [f"x{i}" for i in range(5)]
     right = [f"y{i}" for i in range(5)]
     return make_network(clique(left) + clique(right)), left, right
+
+
+def by_index(edges):
+    """Named edges numbered as ``louvain`` numbers the validated URLs.
+
+    Returns the sorted names (node i is ``names[i]``), each edge once as its
+    ordered index pair in edge order, and the level-0 graph of those pairs.
+    """
+    names = sorted({u for a, b, *_ in edges for u in (a, b)})
+    index = {u: i for i, u in enumerate(names)}
+    pairs = list(dict.fromkeys(tuple(sorted((index[a], index[b]))) for a, b, *_ in edges))
+    graph = nec._LevelGraph(len(names))
+    for i, j in pairs:
+        graph.adj[i][j] = graph.adj[j][i] = 1.0
+    return names, pairs, graph
+
+
+def relabel(raw, edges):
+    """``nec._relabel`` of a name -> Louvain community dict over named edges."""
+    names, pairs, graph = by_index(edges)
+    return dict(zip(names, nec._relabel([raw[u] for u in names], graph, len(pairs))))
 
 
 class TestLouvain:
@@ -89,7 +110,8 @@ class TestLouvain:
         net, _, _ = two_k5s()
         part = nec.louvain(net, seed=3)
         singleton = {u: i for i, u in enumerate(sorted(net.validated_urls))}
-        assert part.modularity >= nec.modularity_of_edges(nec._edges(net), singleton)
+        names, pairs, _ = by_index(net.edges)
+        assert part.modularity >= nec.modularity_of_edges(pairs, [singleton[u] for u in names])
 
     def test_edge_permutation_invariance(self):
         rng = random.Random(21)
@@ -110,14 +132,14 @@ class TestRelabel:
         # x has two edges into community 5 and one into community 3, the smaller id
         raw = {"x": 0, "a1": 5, "a2": 5, "a3": 5, "b1": 3, "b2": 3}
         edges = [("a1", "x"), ("a2", "x"), ("b1", "x"), ("a1", "a2"), ("a2", "a3"), ("b1", "b2")]
-        final = nec._relabel(raw, edges)
+        final = relabel(raw, edges)
         assert final["x"] == final["a1"] != final["b1"]
         assert nec.modularity_of_edges(edges, final) == pytest.approx(5 / 24)  # 1/6 via b
 
     def test_equal_gains_go_to_the_smaller_louvain_id(self):
         raw = {"x": 0, "a1": 5, "a2": 5, "b1": 3, "b2": 3}
         edges = [("a1", "x"), ("b1", "x"), ("a1", "a2"), ("b1", "b2")]
-        final = nec._relabel(raw, edges)
+        final = relabel(raw, edges)
         assert final["x"] == final["b1"] != final["a1"]
 
     def test_a_merge_updates_the_target_degree(self):
@@ -125,30 +147,189 @@ class TestRelabel:
         raw = {"x1": 0, "x2": 1, "a1": 5, "a2": 5, "b1": 3, "b2": 3}
         edges = [("a1", "x1"), ("b1", "x1"), ("a2", "x2"), ("b2", "x2"),
                  ("a1", "a2"), ("b1", "b2")]
-        final = nec._relabel(raw, edges)
+        final = relabel(raw, edges)
         assert final["x1"] == final["b1"]
         assert final["x2"] == final["a1"] != final["b1"]
+
+
+# ``louvain`` as it was when it built the network three times: a string edge
+# list, the integer level-0 graph, and string neighbour sets for the singleton
+# merge; with per-node gain closures and a nested sweep-modularity loop. Kept as
+# the oracle of the one-integer-graph ``louvain``; ``merged`` collects the URLs
+# that the singleton merge moves.
+
+def _edges_oracle(network):
+    return list(dict.fromkeys((a, b) if a < b else (b, a) for a, b, _ in network.edges))
+
+
+def _one_level_oracle(graph, rng):
+    n = graph.n
+    deg = graph.degrees()
+    two_w = sum(deg)
+    comm = list(range(n))
+    sigma_tot = deg.copy()
+    sigma_in = graph.loops.copy()
+    order = list(range(n))
+    rng.shuffle(order)
+
+    def sweep_modularity():
+        q = 0.0
+        for c in range(n):
+            if sigma_tot[c] > 0 or sigma_in[c] > 0:
+                q += sigma_in[c] / two_w - (sigma_tot[c] / two_w) ** 2
+        return q
+
+    pass_q = []
+    moved_any = False
+    while True:
+        moves = 0
+        for node in order:
+            c_old = comm[node]
+            w_comm = defaultdict(float)
+            for nbr, w in graph.adj[node].items():
+                w_comm[comm[nbr]] += w
+            k_i = deg[node]
+            sigma_tot[c_old] -= k_i
+            sigma_in[c_old] -= 2.0 * w_comm.get(c_old, 0.0) + graph.loops[node]
+
+            def gain(c):
+                return w_comm.get(c, 0.0) - sigma_tot[c] * k_i / two_w
+
+            best_c = c_old
+            best_gain = gain(c_old)
+            for c in sorted(w_comm):
+                if c == c_old:
+                    continue
+                if gain(c) > best_gain + nec.MIN_GAIN:
+                    best_c, best_gain = c, gain(c)
+            sigma_tot[best_c] += k_i
+            sigma_in[best_c] += 2.0 * w_comm.get(best_c, 0.0) + graph.loops[node]
+            comm[node] = best_c
+            if best_c != c_old:
+                moves += 1
+                moved_any = True
+        pass_q.append(sweep_modularity())
+        if moves == 0:
+            break
+    return comm, pass_q, moved_any
+
+
+def _relabel_oracle(raw, edges, merged):
+    groups = defaultdict(set)
+    for u, c in raw.items():
+        groups[c].add(u)
+    nbrs = defaultdict(set)
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    sigma = defaultdict(int)
+    for u, c in raw.items():
+        sigma[c] += len(nbrs[u])
+    two_m = 2 * len(edges)
+    for c in sorted(groups, key=lambda c: min(groups[c])):
+        if len(groups[c]) != 1:
+            continue
+        (lone,) = groups[c]
+        links = Counter(raw[v] for v in nbrs[lone] if raw[v] != c)
+        if not links:
+            continue
+        k = len(nbrs[lone])
+        target = max(sorted(links), key=lambda t: links[t] * two_m - k * sigma[t])
+        merged.append(lone)
+        groups[c].discard(lone)
+        groups[target].add(lone)
+        raw[lone] = target
+        sigma[target] += k
+    ordered = sorted(
+        (c for c in groups if groups[c]),
+        key=lambda c: (-len(groups[c]), min(groups[c])),
+    )
+    remap = {c: i for i, c in enumerate(ordered)}
+    return {u: remap[c] for u, c in raw.items()}
+
+
+def louvain_oracle(network, seed, merged):
+    assignment = {u: nec.UNCLUSTERED for u in network.urls}
+    edges = _edges_oracle(network)
+    if not edges:
+        return nec.Partition(assignment=assignment, modularity=0.0)
+    nodes = sorted(network.validated_urls)
+    index = {u: i for i, u in enumerate(nodes)}
+    level = nec._LevelGraph(len(nodes))
+    for a, b in edges:
+        i, j = index[a], index[b]
+        level.adj[i][j] = level.adj[j][i] = 1.0
+    rng = random.Random(seed)
+    node_comm = list(range(len(nodes)))
+    pass_modularities = []
+    while True:
+        comm, pass_q, moved = _one_level_oracle(level, rng)
+        pass_modularities.extend(pass_q)
+        node_comm = [comm[c] for c in node_comm]
+        if not moved:
+            break
+        level, remap = nec._aggregate(level, comm)
+        node_comm = [remap[c] for c in node_comm]
+    final = _relabel_oracle({nodes[i]: c for i, c in enumerate(node_comm)}, edges, merged)
+    assignment.update(final)
+    q = nec.modularity_of_edges(edges, assignment)
+    return nec.Partition(assignment=assignment, modularity=q, pass_modularities=pass_modularities)
+
+
+class TestLouvainOracle:
+    def test_partitions_equal_the_oracle_bit_for_bit(self):
+        # A singleton community survives Louvain only when level 0 moves no node,
+        # which needs a self-loop on every node (a node without one always gains
+        # by joining a neighbour), so a third of the networks loop every node.
+        # A self-loop counts once in its node's degree and twice in 2m, so the
+        # merge's choice tells 2m = 2 * edges from the degree sum.
+        rng = random.Random(32)
+        cases = merged_cases = 0
+        for _ in range(150):
+            names = [f"n{i:02d}" for i in rng.sample(range(100), rng.randint(2, 14))]
+            pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(1, 3 * len(names)))]
+            loop_share = rng.choice([0.0, 0.2, 1.0])
+            loops = [(u, u) for u in names if rng.random() < loop_share]
+            repeats = [(b, a) if rng.random() < 0.5 else (a, b)
+                       for a, b in rng.sample(pairs, len(pairs) // 4)]
+            edges = [(a, b, 1e-3) for a, b in pairs + loops + repeats]
+            rng.shuffle(edges)
+            net = make_network(edges, extra_urls=["zz-no-edge"])
+            for seed in range(5):
+                merged = []
+                want = louvain_oracle(net, seed, merged)
+                got = nec.louvain(net, seed)
+                assert got.assignment == want.assignment
+                assert got.modularity.hex() == want.modularity.hex()
+                assert [q.hex() for q in got.pass_modularities] == [
+                    q.hex() for q in want.pass_modularities]
+                cases += 1
+                merged_cases += bool(merged)
+        assert 0 < merged_cases < cases
 
 
 class TestModularity:
     def test_single_community_connected_graph_is_zero(self):
         net = make_network(clique([f"n{i}" for i in range(4)]))
+        names, pairs, _ = by_index(net.edges)
         assignment = {u: 0 for u in net.validated_urls}
-        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        q = nec.modularity_of_edges(pairs, [assignment[u] for u in names])
         assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_two_equal_cliques_half(self):
         net, left, right = two_k5s()
+        names, pairs, _ = by_index(net.edges)
         assignment = {u: 0 for u in left} | {u: 1 for u in right}
-        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        q = nec.modularity_of_edges(pairs, [assignment[u] for u in names])
         assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_singletons_in_clique_negative(self):
         # K5, every node its own community: Q = -sum (d_i/2m)^2 = -1/5
         nodes = [f"n{i}" for i in range(5)]
         net = make_network(clique(nodes))
+        names, pairs, _ = by_index(net.edges)
         assignment = {u: i for i, u in enumerate(nodes)}
-        q = nec.modularity_of_edges(nec._edges(net), assignment)
+        q = nec.modularity_of_edges(pairs, [assignment[u] for u in names])
         assert q == pytest.approx(-0.2, abs=1e-12)
 
     def test_matches_weighted_formula_on_random_partitions(self):
