@@ -34,15 +34,15 @@ kb = KnowledgeBase(scores={
 
 # Pretend the projection validated the within-camp pairs (in the full
 # pipeline this comes from demos/02): two cliques of four URLs each.
-left_urls = sorted(u for u in corpus.articles if "reliable" in u and "orphan" not in u)
-right_urls = sorted(u for u in corpus.articles if "dubious" in u)
+left_urls = [u for u in corpus.urls if "reliable" in u and "orphan" not in u]
+right_urls = [u for u in corpus.urls if "dubious" in u]
 edges = [(a, b, 1e-6) for urls in (left_urls, right_urls)
          for i, a in enumerate(urls) for b in urls[i + 1:]]
 network = ValidatedNetwork(
-    urls=tuple(sorted(corpus.articles)),
+    urls=corpus.urls,
     edges=edges,
     alpha=0.05,
-    n_hypotheses=len(corpus.articles) * (len(corpus.articles) - 1) // 2,
+    n_hypotheses=len(corpus.urls) * (len(corpus.urls) - 1) // 2,
     bh_threshold=1e-6,
 )
 

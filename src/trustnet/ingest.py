@@ -104,7 +104,7 @@ class Corpus:
       the links as binary ``Links``, which the stages read with ``user_row``, user id ->
       its row, and ``publishers``, the sorted distinct publishers;
     * ``interactions``: the (user_id, url, publisher) triples; ``share_events``:
-      each share event's URL, sorted; ``articles``: the distinct URLs;
+      each share event's URL, sorted;
     * ``url_publisher``: URL -> its publisher.
     """
 
@@ -148,10 +148,6 @@ class Corpus:
     @cached_property
     def url_publisher(self) -> dict[str, str]:
         return dict(zip(self.urls, self.domains))
-
-    @cached_property
-    def articles(self) -> frozenset[str]:
-        return frozenset(self.urls)
 
     @cached_property
     def publishers(self) -> tuple[str, ...]:
@@ -205,17 +201,17 @@ class Links:
         return self.rows[starts], starts
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x, filled, starts = np.asarray(x), *self._segments
+        x = np.asarray(x)
         exact = x.dtype.kind != "f"  # integer sums are exact in any order
         out = np.zeros((self.shape[0], *x.shape[1:]), dtype=np.int64 if exact else np.float64)
         if exact:
+            filled, starts = self._segments
             terms = (x.view(np.int8) if x.dtype == bool else x).take(self.cols, axis=0)
             out[filled] = np.add.reduceat(terms, starts, dtype=np.int64)
-        elif x.ndim == 1 or x.shape[1] == 1:  # np.bincount adds each bin's terms in turn
-            out.flat = np.bincount(self.rows, x.reshape(-1).take(self.cols), minlength=len(out))
-        else:  # down axis 0 of a C-ordered block numpy adds one row at a time, not pairwise
-            for row, lo, hi in zip(filled.tolist(), starts.tolist(), [*starts[1:].tolist(), None]):
-                np.add.reduce(x.take(self.cols[lo:hi], axis=0), axis=0, out=out[row], initial=0.0)
+        else:  # np.bincount adds each bin's terms in turn; one call per column of x
+            out_2d, x_2d = (out, x) if x.ndim == 2 else (out[:, None], x[:, None])
+            for col, x_col in zip(out_2d.T, x_2d.T):
+                col[:] = np.bincount(self.rows, x_col.take(self.cols), minlength=len(out))
         return out
 
 

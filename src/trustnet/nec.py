@@ -140,20 +140,25 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
 
     The sorted validated URLs are nodes 0..n-1. Each validated edge becomes its
     ordered index pair once, in network order, as modularity sums its terms in
-    that order; the pairs build the level-0 graph that the singleton merge reads.
-    Deterministic for a fixed seed: the node visit order at each level is a
-    seeded shuffle of the sorted id order. URLs of the tested universe that
-    carry no validated edge are assigned the reserved community -1.
+    that order. An edge must join two distinct URLs: a self-loop is a
+    ValueError. Deterministic for a fixed seed: the node visit order at each
+    level is a seeded shuffle of the sorted id order. Communities are numbered
+    from 0, largest first, ties in the order of their smallest node. URLs of
+    the tested universe that carry no validated edge are assigned the reserved
+    community -1.
     """
     assignment = {u: UNCLUSTERED for u in network.urls}
     nodes = sorted(network.validated_urls)
     index = {u: i for i, u in enumerate(nodes)}
     pairs = ((index[a], index[b]) for a, b, _ in network.edges)
     edges = list(dict.fromkeys((i, j) if i < j else (j, i) for i, j in pairs))
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"validated edge joins {nodes[i]!r} to itself")
     if not edges:
         return Partition(assignment=assignment, modularity=0.0)
 
-    level = base = _LevelGraph(len(nodes))
+    level = _LevelGraph(len(nodes))
     for i, j in edges:
         level.adj[i][j] = level.adj[j][i] = 1.0
 
@@ -169,49 +174,16 @@ def louvain(network: ValidatedNetwork, seed: int = 0) -> Partition:
         level, remap = _aggregate(level, comm)
         node_comm = [remap[c] for c in node_comm]
 
-    node_comm = _relabel(node_comm, base, len(edges))
+    # largest first; a stable sort keeps ties in the order of their smallest node
+    size = Counter(node_comm)
+    remap = {c: i for i, c in enumerate(sorted(dict.fromkeys(node_comm), key=lambda c: -size[c]))}
+    node_comm = [remap[c] for c in node_comm]
     assignment.update(zip(nodes, node_comm))
     return Partition(
         assignment=assignment,
         modularity=modularity_of_edges(edges, node_comm),
         pass_modularities=pass_modularities,
     )
-
-
-def _relabel(comm: list[int], graph: _LevelGraph, n_edges: int) -> list[int]:
-    """Contiguous ids from 0, largest community first; singletons merged away.
-
-    ``comm`` is the Louvain community of each node of the level-0 ``graph``,
-    whose ``n_edges`` unit edges give 2m = 2 * n_edges (a self-loop edge
-    counts in 2m twice but in its node's degree once). A validated URL always
-    has a neighbor, so a surviving singleton community joins the neighboring
-    community with the largest modularity gain ``e_xc - k_x * sigma_c / 2m``,
-    ties to the smaller Louvain id.
-    """
-    size = Counter(comm)
-    sigma: dict[int, int] = defaultdict(int)  # total degree per community
-    for i, c in enumerate(comm):
-        sigma[c] += len(graph.adj[i])
-    two_m = 2 * n_edges
-    # only a singleton's own node ever leaves its community, so no larger community
-    # shrinks to one, and the singletons are visited in the order of their nodes
-    for lone, c in enumerate(comm):
-        if size[c] != 1:
-            continue
-        links = Counter(comm[v] for v in graph.adj[lone] if comm[v] != c)
-        if not links:
-            continue
-        k = len(graph.adj[lone])
-        # the gain times 2m, an exact integer; max keeps the first, smallest id of a tie
-        target = max(sorted(links), key=lambda t: links[t] * two_m - k * sigma[t])
-        size[c] -= 1
-        size[target] += 1
-        comm[lone] = target
-        sigma[target] += k
-    # largest first; a stable sort keeps ties in the order of their smallest node
-    ordered = sorted(dict.fromkeys(comm), key=lambda c: -size[c])
-    remap = {c: i for i, c in enumerate(ordered)}
-    return [remap[c] for c in comm]
 
 
 def modularity_of_edges(edges: Sequence[tuple[Hashable, Hashable]],

@@ -263,7 +263,7 @@ def test_criterion_07_worked_arithmetic():
     corpus = build_corpus(posts)
     kb = KnowledgeBase(scores={"sixty.com": 60, "ninety.com": 90})
     net = ValidatedNetwork(
-        urls=tuple(sorted(corpus.articles)), edges=[], alpha=0.05,
+        urls=corpus.urls, edges=[], alpha=0.05,
         n_hypotheses=1, bh_threshold=0.0,
     )
     value = characterize("voter", StrategyKind.USERS_ALL, corpus, net, kb)

@@ -197,7 +197,7 @@ def network_over(corpus, urls):
     """A validated network whose edges chain ``urls`` together."""
     urls = sorted(urls)
     return ValidatedNetwork(
-        urls=tuple(sorted(corpus.articles)),
+        urls=corpus.urls,
         edges=[(a, b, 1e-6) for a, b in zip(urls, urls[1:])],
         alpha=0.05,
         n_hypotheses=1,
@@ -221,7 +221,7 @@ def worlds(draw):
                            min_size=n_pubs, max_size=n_pubs))
     kb = KnowledgeBase(scores={f"p{p}.com": s for p, s in enumerate(scores) if s is not None})
     # everything validated leaves DS-ALL-WO-USR-NEC empty
-    shared = sorted(corpus.articles)
+    shared = corpus.urls
     validated = set(shared) if draw(st.booleans()) else draw(st.sets(st.sampled_from(shared)))
     theta_min = draw(st.integers(0, 3))
     config = PipelineConfig(theta_min=theta_min, theta_max=theta_min + draw(st.integers(0, 4)),
@@ -260,7 +260,7 @@ class TestOracle:
         assert by_user["unc-only"].value is None
         assert [v.user_id for v in profiles[StrategyKind.DS_ALL_WO_USR_NEC]] == ["outsider"]
         assert [v.n_articles for v in profiles[StrategyKind.DS_URL_NEC]] == [2, 2, 1]
-        everything = network_over(corpus, corpus.articles)
+        everything = network_over(corpus, corpus.urls)
         assert check_against_oracle(corpus, everything, kb, config)[
             StrategyKind.DS_ALL_WO_USR_NEC] == []
         again = reloaded(corpus)
@@ -313,7 +313,7 @@ class TestIndex:
         assert graph.url_degrees[corpus.urls.index("https://hub.com/x")] == 200
         _, _, observed = projection.cooccurrences(graph)
         assert observed.max() == 200
-        network = network_over(corpus, corpus.articles)
+        network = network_over(corpus, corpus.urls)
         heavy = {v.user_id: v for v in
                  build_voter_profiles(StrategyKind.USERS_ALL, corpus, network, kb)}["heavy"]
         assert (heavy.n_articles, heavy.diet) == (300, 300)
@@ -340,7 +340,7 @@ class TestVoteOrder:
         generate_synthetic(SyntheticSpec(60, 4, 5, seed=3), posts, kb_csv)
         corpus = build_corpus(load_posts(posts)[0])
         kb = load_knowledge_base(kb_csv)
-        network = network_over(corpus, sorted(corpus.articles)[::3])
+        network = network_over(corpus, corpus.urls[::3])
         profs = build_voter_profiles(StrategyKind.USERS_ALL, corpus, network, kb)
         shuffled = profs[:]
         random.Random(0).shuffle(shuffled)

@@ -170,7 +170,7 @@ class TestLoadPosts:
         corpus = build_corpus(posts)
         assert malformed == 0
         assert corpus.skipped_urls == 3
-        assert corpus.articles == {"https://a.com/x"}
+        assert set(corpus.urls) == {"https://a.com/x"}
 
 
 _BAD_POST = json.dumps(_post("bad", "u0000", ["https://bad.example/x"], ts=0))
@@ -364,7 +364,7 @@ class TestUrlPartsOracle:
         assert sorted(cuts) == ["http://B.org:443/y", "https://www.a.com/x",
                                 "https://www.a.com/z/w", "notaurl"]
         assert sorted(calls) == ["http://B.org:443", "https://www.a.com", "notaurl"]
-        assert corpus.articles == {"https://a.com/x", "https://a.com/z/w", "http://b.org/y"}
+        assert set(corpus.urls) == {"https://a.com/x", "https://a.com/z/w", "http://b.org/y"}
 
 
 class TestBuildCorpus:
@@ -400,7 +400,7 @@ class TestBuildCorpus:
         corpus = build_corpus(posts)
         assert len(corpus.interactions) == 4
         assert corpus.users == ("u0", "u1")
-        assert len(corpus.articles) == 2
+        assert len(corpus.urls) == 2
 
     def test_publisher_partition_of_articles(self):
         random.seed(5)
@@ -418,7 +418,7 @@ class TestBuildCorpus:
         per_publisher = {}
         for url, pub in corpus.url_publisher.items():
             per_publisher.setdefault(pub, set()).add(url)
-        assert sum(len(v) for v in per_publisher.values()) == len(corpus.articles)
+        assert sum(len(v) for v in per_publisher.values()) == len(corpus.urls)
 
     def test_reordering_posts_changes_nothing(self):
         random.seed(11)
@@ -544,7 +544,7 @@ class TestCorpusGroupings:
                 zip(table.event_user.tolist(), table.event_url.tolist())} == triples
         users = {u for u, _, _ in triples}
         assert corpus.users == tuple(sorted(users))
-        assert corpus.articles == {url for _, url, _ in triples}
+        assert set(corpus.urls) == {url for _, url, _ in triples}
         assert set(corpus.publishers) == {p for _, _, p in triples}
         assert corpus.url_publisher == {url: p for _, url, p in triples}
         by_user_urls = {u: {url for v, url, _ in triples if v == u} for u in users}

@@ -167,7 +167,7 @@ class TestRunArtifacts:
 
     def test_partition_covers_all_articles(self, run):
         result, _ = run
-        assert set(result.partition.assignment) == result.corpus.articles
+        assert set(result.partition.assignment) == set(result.corpus.urls)
 
     def test_every_community_is_connected(self, run):
         # Louvain can leave a community disconnected (Traag et al., Sci. Rep. 9:5233)

@@ -76,7 +76,7 @@ def fixture_corpus():
     ]
     corpus = build_corpus(posts)
     network = ValidatedNetwork(
-        urls=tuple(sorted(corpus.articles)),
+        urls=corpus.urls,
         edges=[(VAL_A, VAL_B, 1e-5)],
         alpha=0.05,
         n_hypotheses=6,
@@ -87,7 +87,7 @@ def fixture_corpus():
 
 def empty_network(corpus):
     return ValidatedNetwork(
-        urls=tuple(sorted(corpus.articles)),
+        urls=corpus.urls,
         edges=[],
         alpha=0.05,
         n_hypotheses=6,
@@ -151,7 +151,7 @@ class TestSelectVoters:
         ]
         corpus = build_corpus(posts)
         network = ValidatedNetwork(
-            urls=tuple(sorted(corpus.articles)),
+            urls=corpus.urls,
             edges=[(VAL_A, VAL_B, 1e-4)],
             alpha=0.05,
             n_hypotheses=1,
